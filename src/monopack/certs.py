@@ -163,6 +163,10 @@ def parse_covercert(text: str):
             e = (int(parts[0]), int(parts[1]))
         except ValueError:
             raise CertFormatError(f"bad edge line {ln!r}") from None
+        if not 0 <= e[0] < e[1] < g.n:
+            raise CertFormatError(f"edge line {ln!r} needs 0 <= i < j < {g.n}")
+        if e in edge_weights:
+            raise CertFormatError(f"duplicate edge line {ln!r}")
         edge_weights[e] = _parse_fraction(parts[2])
     return g, FractionalCover(color, edge_weights), claim
 

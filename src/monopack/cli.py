@@ -8,7 +8,9 @@ bound are backed by certificates that `verify` can replay.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import ast
 import json
+import operator
 import os
 import sys
 from fractions import Fraction
@@ -244,13 +246,60 @@ def cmd_decompose(args) -> int:
     return EXIT_VIOLATED
 
 
+_BINARY_OPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.FloorDiv: operator.floordiv,
+}
+
+
 def _parse_threshold(expr: str):
+    """The threshold expression as a function of n.
+
+    Only the name `n`, integer literals, `+ - * / //`, unary minus,
+    parentheses and calls `Fraction(a)` or `Fraction(a, b)` are accepted, so
+    the text reaches nothing but exact arithmetic; `/` divides exactly.
+    """
+
+    def bad(detail: str) -> CliError:
+        return CliError(f"bad threshold expression {expr!r}: {detail}", EXIT_PRECONDITION)
+
+    def compile_node(node):
+        if isinstance(node, ast.Name) and node.id == "n":
+            return Fraction
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            return lambda n, value=Fraction(node.value): value
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
+            op = _BINARY_OPS[type(node.op)]
+            left, right = compile_node(node.left), compile_node(node.right)
+            return lambda n: Fraction(op(left(n), right(n)))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            operand = compile_node(node.operand)
+            return lambda n: -operand(n)
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "Fraction"
+            and 1 <= len(node.args) <= 2
+            and not node.keywords
+        ):
+            args = [compile_node(a) for a in node.args]
+            return lambda n: Fraction(*(a(n) for a in args))
+        raise bad(f"{ast.unparse(node)!r} is not allowed")
+
+    try:
+        tree = ast.parse(expr, mode="eval")
+    except SyntaxError as exc:
+        raise bad(exc.msg) from None
+    body = compile_node(tree.body)
+
     def threshold(n: int) -> Fraction:
         try:
-            value = eval(expr, {"__builtins__": {}}, {"n": n, "Fraction": Fraction})
-        except Exception as exc:
-            raise CliError(f"bad threshold expression {expr!r}: {exc}", EXIT_PRECONDITION) from exc
-        return Fraction(value)
+            return body(n)
+        except ZeroDivisionError:
+            raise bad(f"division by zero at n={n}") from None
 
     return threshold
 
@@ -276,8 +325,6 @@ def _parse_filters(specs: list[str]) -> dict:
 
 
 def cmd_search(args) -> int:
-    if args.jobs < 1:
-        raise CliError("--jobs must be positive", EXIT_PRECONDITION)
     cfg = search_mod.SearchConfig(
         n_end=args.n_end,
         threshold=_parse_threshold(args.threshold),
@@ -379,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", help="write a resumable snapshot after each level")
     p.add_argument("--resume", help="continue from a checkpoint file")
     p.add_argument("--certs", help="directory for survivor certificates")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (serial run)")
     p.set_defaults(func=cmd_search)
 
     return parser

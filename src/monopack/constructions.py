@@ -17,9 +17,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .graph import BLUE, RED, ColoredGraph, Edge
-from .lp import FractionalPacking, triangle_edges
-from .simplex import ZERO, solve_eq_nonneg
+from .graph import BLUE, RED, ColoredGraph, Edge, norm_edge
+from .lp import FractionalPacking, incidence_rows, triangle_edges
+from .simplex import ONE, ZERO, solve_eq_nonneg
 from .structure import PentagonCert
 
 HALF = Fraction(1, 2)
@@ -140,10 +140,6 @@ def bipartite_minus_matching(n: int, m: int) -> ColoredGraph:
     return ColoredGraph.from_red_edges(n, red)
 
 
-def flip_edge(g: ColoredGraph, e: Edge) -> ColoredGraph:
-    return g.flip_edge(*e)
-
-
 def pentagon_pack_closed_form(sizes, flipped: bool) -> Fraction:
     """Closed-form pack value for a blow-up (or one-flip variant) whose size
     multiset belongs to the proved family."""
@@ -160,21 +156,16 @@ def pentagon_pack_closed_form(sizes, flipped: bool) -> Fraction:
 # -- two-blob packings -----------------------------------------------------
 
 
-def _host(n_a: int, n_b: int, missing: set[Edge], extra: int = 0) -> ColoredGraph:
-    """Graph on A = 0..n_a-1, B = n_a..n_a+n_b-1 (plus `extra` later blobs'
-    worth handled by callers): present edges red, missing cross edges blue."""
-    n = n_a + n_b + extra
+def _host(n_a: int, n_b: int, missing: set[Edge]) -> ColoredGraph:
+    """Graph on A = 0..n_a-1, B = n_a..n_a+n_b-1: present edges red, missing
+    cross edges blue."""
+    n = n_a + n_b
     red = {
         (i, j)
         for i, j in combinations(range(n), 2)
         if (i, j) not in missing
     }
     return ColoredGraph.from_red_edges(n, red)
-
-
-def _norm(e) -> Edge:
-    i, j = e
-    return (i, j) if i < j else (j, i)
 
 
 def _check_two_blob(
@@ -184,7 +175,7 @@ def _check_two_blob(
     for t in packing.weights:
         sides = {v >= n_a for v in t}
         assert len(sides) == 2, f"non-cross triangle {t}"
-        assert not any(_norm(e) in missing for e in triangle_edges(t))
+        assert not any(norm_edge(e) in missing for e in triangle_edges(t))
     for part in (range(n_a), range(n_a, n_a + n_b)):
         for e in combinations(part, 2):
             assert loads.get(e, ZERO) == HALF, f"inside edge {e}: {loads.get(e)}"
@@ -239,24 +230,13 @@ def _residual_solve(
     triangles = list(triangles)
     d_edges = sorted(demand)
     c_edges = sorted(capacity)
-    cols = len(triangles) + len(c_edges)
-    rows = []
-    rhs = []
-    for e in d_edges:
-        row = [ZERO] * cols
-        for col, t in enumerate(triangles):
-            if e in map(_norm, triangle_edges(t)):
-                row[col] = Fraction(1)
-        rows.append(row)
-        rhs.append(demand[e])
-    for k, e in enumerate(c_edges):
-        row = [ZERO] * cols
-        for col, t in enumerate(triangles):
-            if e in map(_norm, triangle_edges(t)):
-                row[col] = Fraction(1)
-        row[len(triangles) + k] = Fraction(1)
-        rows.append(row)
-        rhs.append(capacity[e])
+    rows = incidence_rows(triangles, d_edges + c_edges)
+    slack = len(c_edges)
+    for r, row in enumerate(rows):
+        # capacity row k gets slack column k; demand rows get none
+        k = r - len(d_edges)
+        row.extend(ONE if i == k else ZERO for i in range(slack))
+    rhs = [demand[e] for e in d_edges] + [capacity[e] for e in c_edges]
     x, _ = solve_eq_nonneg(rows, rhs)
     if x is None:
         return None
@@ -275,7 +255,7 @@ def ab_packing(
       c: cross graph minus two edges meeting at A, 3 <= |A| <= |B| <= |A| + 1
       d: |A| = 3, |B| = 5, cross graph minus a matching of size 2
     """
-    missing = {_norm(e) for e in missing}
+    missing = {norm_edge(e) for e in missing}
     for a, b in missing:
         if not (0 <= a < n_a <= b < n_a + n_b):
             raise ValueError(f"missing edge ({a}, {b}) is not a cross pair")
@@ -362,7 +342,7 @@ def _three_five(n_a: int, n_b: int, missing: set[Edge]) -> FractionalPacking:
         in_b = [v for v in t if v >= n_a]
         if not in_a or not in_b:
             continue
-        if any(_norm((a, b)) in missing for a in in_a for b in in_b):
+        if any(norm_edge((a, b)) in missing for a in in_a for b in in_b):
             continue
         na_p = sum(1 for v in in_a if v in a_prime)
         nb_p = sum(1 for v in in_b if v in b_prime)
@@ -398,8 +378,8 @@ def abc_packing(
     n_a = 2
     b_lo, b_hi = n_a, n_a + n_b
     n = n_a + n_b + n_c
-    m_ab = {_norm(e) for e in missing_ab}
-    m_bc = {_norm(e) for e in missing_bc}
+    m_ab = {norm_edge(e) for e in missing_ab}
+    m_bc = {norm_edge(e) for e in missing_bc}
     for a, b in m_ab:
         if not (a < n_a <= b < b_hi):
             raise ValueError(f"({a}, {b}) is not an A-B pair")
@@ -420,9 +400,9 @@ def abc_packing(
     free_c = [c for c in range(b_hi, n) if all(c not in e for e in m_bc)]
     free_a = [a for a in range(n_a) if all(a not in e for e in m_ab)]
     while len(m_bc) < want_bc and free_b:
-        m_bc.add(_norm((free_b.pop(), free_c.pop())))
+        m_bc.add(norm_edge((free_b.pop(), free_c.pop())))
     while free_b and free_a:
-        m_ab.add(_norm((free_a.pop(), free_b.pop())))
+        m_ab.add(norm_edge((free_a.pop(), free_b.pop())))
     assert not free_b and len(m_ab) == n_b - want_bc and len(m_bc) == want_bc
 
     weights: dict = {}
@@ -440,7 +420,7 @@ def abc_packing(
         b_rest = [b for b in range(b_lo, b_hi) if b not in b_primed]
         for a in range(n_a):
             for bp in b_primed:
-                if _norm((a, bp)) in m_ab:
+                if norm_edge((a, bp)) in m_ab:
                     continue
                 for b in b_rest:
                     add((a, bp, b), HALF)
@@ -456,7 +436,7 @@ def abc_packing(
             (b3,) = [b for b in range(b_lo, b_hi) if b not in b_primed]
             for a in range(n_a):
                 for bp in b_primed:
-                    if _norm((a, bp)) not in m_ab:
+                    if norm_edge((a, bp)) not in m_ab:
                         add((a, bp, b3), HALF)
             add((0, 1, b3), HALF)
             _add_c_side(add, n_a, n_b, n_c, m_bc, b1, b2, n)
@@ -464,7 +444,7 @@ def abc_packing(
             # one A-B missing edge and two B-C: 1/2 on the triangles at the
             # primed B vertex, 1/4 elsewhere, then a plain matching packing
             (b3,) = b_primed
-            (a_ok,) = [a for a in range(n_a) if _norm((a, b3)) not in m_ab]
+            (a_ok,) = [a for a in range(n_a) if norm_edge((a, b3)) not in m_ab]
             b_rest = [b for b in range(b_lo, b_hi) if b != b3]
             for b in b_rest:
                 add((a_ok, b3, b), HALF)
@@ -493,7 +473,7 @@ def _add_c_side(add, n_a, n_b, n_c, m_bc, b1, b2, n) -> None:
     add((b1, b2, c), HALF)
     for bi in (b1, b2):
         sub = _matching_weights_at(
-            n_b, n_c, b_lo, b_hi, n, m_bc | {_norm((bi, c))}
+            n_b, n_c, b_lo, b_hi, n, m_bc | {norm_edge((bi, c))}
         )
         for t, w in sub.items():
             add(t, w / 2)

@@ -42,6 +42,14 @@ def edge_index(n: int, i: int, j: int) -> int:
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
 
 
+def norm_edge(e) -> Edge:
+    """The vertex pair `e` as (smaller, larger); ValueError on a loop."""
+    i, j = e
+    if i == j:
+        raise ValueError(f"loop edge ({i}, {j})")
+    return (i, j) if i < j else (j, i)
+
+
 def all_edges(n: int) -> list[Edge]:
     return list(combinations(range(n), 2))
 

@@ -22,21 +22,42 @@ from itertools import combinations
 import numpy as np
 from scipy.optimize import linprog
 
-from .graph import BLUE, RED, ColoredGraph, Edge, Triangle, edge_index
-from .simplex import ZERO, simplex_max_leq, solve_eq_nonneg
+from .graph import BLUE, RED, ColoredGraph, Edge, Triangle, norm_edge
+from .simplex import ONE, ZERO, simplex_max_leq, solve_eq_nonneg
 
-DEFAULT_MAX_DENOMINATOR = 10**6
+MAX_DENOMINATOR = 10**6
 OPTIMAL = "optimal"
-LOWER_BOUND_ONLY = "lower-bound-only"
-
-
-class WarmStartError(ValueError):
-    """Raised when a supplied warm-start packing is infeasible."""
 
 
 def triangle_edges(t: Triangle) -> tuple[Edge, Edge, Edge]:
     i, j, k = t
     return (i, j), (i, k), (j, k)
+
+
+def incidence(triangles: list[Triangle], edges: list[Edge]) -> tuple[list[int], list[int]]:
+    """Nonzeros of the edge x triangle incidence matrix as (rows, cols).
+
+    Row r is edges[r] and column c is triangles[c] (a sorted vertex triple);
+    a triangle edge that is not in `edges` has no row and is skipped.
+    """
+    row_of = {e: r for r, e in enumerate(edges)}
+    rows: list[int] = []
+    cols: list[int] = []
+    for col, t in enumerate(triangles):
+        for e in triangle_edges(t):
+            r = row_of.get(e)
+            if r is not None:
+                rows.append(r)
+                cols.append(col)
+    return rows, cols
+
+
+def incidence_rows(triangles: list[Triangle], edges: list[Edge]) -> list[list[Fraction]]:
+    """`incidence` as dense exact rows, one per edge."""
+    dense = [[ZERO] * len(triangles) for _ in edges]
+    for r, col in zip(*incidence(triangles, edges)):
+        dense[r][col] = ONE
+    return dense
 
 
 @dataclass(frozen=True)
@@ -135,10 +156,7 @@ def _repair_packing(
 
 
 def rationalize(
-    float_weights: dict[Triangle, float | Fraction],
-    g: ColoredGraph,
-    color: str,
-    max_denominator: int = DEFAULT_MAX_DENOMINATOR,
+    float_weights: dict[Triangle, float | Fraction], g: ColoredGraph, color: str
 ) -> FractionalPacking:
     """Continued-fraction rationalisation of approximate triangle weights.
 
@@ -152,7 +170,7 @@ def rationalize(
     for t, v in float_weights.items():
         if t not in tset:
             continue
-        q = v if isinstance(v, Fraction) else Fraction(v).limit_denominator(max_denominator)
+        q = v if isinstance(v, Fraction) else Fraction(v).limit_denominator(MAX_DENOMINATOR)
         if q > 0:
             approx[t] = q
     return FractionalPacking(color, _repair_packing(approx, triangles))
@@ -175,14 +193,10 @@ def _repair_cover(
     return y
 
 
-def _float_solve(triangles: list[Triangle]):
+def _float_solve(triangles: list[Triangle], edges: list[Edge]):
     """Float LP for max total weight; returns (weights, duals) or None."""
-    edges = sorted({e for t in triangles for e in triangle_edges(t)})
-    eidx = {e: i for i, e in enumerate(edges)}
     a = np.zeros((len(edges), len(triangles)))
-    for col, t in enumerate(triangles):
-        for e in triangle_edges(t):
-            a[eidx[e], col] = 1.0
+    a[incidence(triangles, edges)] = 1.0
     res = linprog(
         c=-np.ones(len(triangles)),
         A_ub=a,
@@ -193,73 +207,43 @@ def _float_solve(triangles: list[Triangle]):
     if not res.success:
         return None
     duals = -np.asarray(res.ineqlin.marginals)
-    return res.x, {e: duals[i] for e, i in eidx.items()}
+    return res.x, {e: duals[r] for r, e in enumerate(edges)}
 
 
-def _exact_solve(triangles: list[Triangle], color: str, prefer: list[int] | None = None):
-    edges = sorted({e for t in triangles for e in triangle_edges(t)})
-    eidx = {e: i for i, e in enumerate(edges)}
-    rows = [[ZERO] * len(triangles) for _ in edges]
-    for col, t in enumerate(triangles):
-        for e in triangle_edges(t):
-            rows[eidx[e]][col] = Fraction(1)
-    b = [Fraction(1)] * len(edges)
-    c = [Fraction(1)] * len(triangles)
-    x, y, value = simplex_max_leq(rows, b, c, prefer=prefer)
+def _exact_solve(triangles: list[Triangle], edges: list[Edge], color: str):
+    b = [ONE] * len(edges)
+    c = [ONE] * len(triangles)
+    x, y, value = simplex_max_leq(incidence_rows(triangles, edges), b, c)
     packing = FractionalPacking(
         color, {t: x[col] for col, t in enumerate(triangles) if x[col] > 0}
     )
-    cover = FractionalCover(color, {e: y[i] for e, i in eidx.items() if y[i] > 0})
+    cover = FractionalCover(color, {e: y[r] for r, e in enumerate(edges) if y[r] > 0})
     return SolveResult(packing, cover, value, value, OPTIMAL)
 
 
-def nu_star(
-    g: ColoredGraph,
-    color: str,
-    warm: FractionalPacking | None = None,
-    max_denominator: int = DEFAULT_MAX_DENOMINATOR,
-    exact_only: bool = False,
-) -> SolveResult:
+def nu_star(g: ColoredGraph, color: str, exact_only: bool = False) -> SolveResult:
     """Maximum fractional triangle packing of one colour class, certified.
 
     Triangles touching unassigned edges contribute no LP variable, so on a
-    partial colouring this is the maximum packing of the assigned part.  A
-    warm-start packing must be feasible (WarmStartError otherwise); its
-    support steers the pricing order of the exact solver.
+    partial colouring this is the maximum packing of the assigned part.
+    `exact_only` skips the float path; tests use it as the reference.
     """
     triangles = g.monochromatic_triangles(color)
-    tset = set(triangles)
-    prefer = None
-    if warm is not None:
-        if warm.color != color:
-            raise WarmStartError(f"warm start has colour {warm.color}, expected {color}")
-        try:
-            warm.check_feasible(g)
-        except ValueError as exc:
-            raise WarmStartError(f"infeasible warm start: {exc}") from exc
-        col_of = {t: i for i, t in enumerate(triangles)}
-        prefer = sorted(
-            (col_of[t] for t in warm.weights if t in tset),
-            key=lambda col: -warm.weights[triangles[col]],
-        )
-
     if not triangles:
         return SolveResult(
             FractionalPacking(color), FractionalCover(color), ZERO, ZERO, OPTIMAL
         )
+    edges = sorted({e for t in triangles for e in triangle_edges(t)})
 
     if not exact_only:
-        sol = _float_solve(triangles)
+        sol = _float_solve(triangles, edges)
         if sol is not None:
             xs, duals = sol
             packing = rationalize(
-                {t: float(xs[i]) for i, t in enumerate(triangles)},
-                g,
-                color,
-                max_denominator,
+                {t: float(xs[i]) for i, t in enumerate(triangles)}, g, color
             )
             y = {
-                e: Fraction(v).limit_denominator(max_denominator)
+                e: Fraction(v).limit_denominator(MAX_DENOMINATOR)
                 for e, v in duals.items()
                 if v > 1e-12
             }
@@ -271,7 +255,7 @@ def nu_star(
                     cover = FractionalCover(color, y)
                     return SolveResult(packing, cover, primal, dual, OPTIMAL)
 
-    return _exact_solve(triangles, color, prefer)
+    return _exact_solve(triangles, edges, color)
 
 
 def pack(g: ColoredGraph, exact_only: bool = False) -> PackValue:
@@ -334,10 +318,6 @@ def _triangles_of_simple_graph(n: int, edges: set[Edge]) -> list[Triangle]:
     ]
 
 
-def _normalize_edges(edges) -> set[Edge]:
-    return {(min(i, j), max(i, j)) for i, j in edges}
-
-
 def frac_decomposition(n: int, edges):
     """Fractional triangle decomposition of a simple graph (every edge weight 1).
 
@@ -345,7 +325,7 @@ def frac_decomposition(n: int, edges):
     where farkas maps edges to rationals with sum_{e in T} y_e >= 0 for every
     triangle T and sum_e y_e < 0.
     """
-    es = sorted(_normalize_edges(edges))
+    es = sorted({norm_edge(e) for e in edges})
     if not es:
         return FractionalPacking(RED, {}), None
     triangles = _triangles_of_simple_graph(n, set(es))
@@ -355,18 +335,13 @@ def frac_decomposition(n: int, edges):
         # an edge in no triangle can never reach weight 1
         farkas = {e: Fraction(-1) if e == uncovered[0] else ZERO for e in es}
         return None, farkas
-    rows = [[ZERO] * len(triangles) for _ in es]
-    eidx = {e: i for i, e in enumerate(es)}
-    for col, t in enumerate(triangles):
-        for e in triangle_edges(t):
-            rows[eidx[e]][col] = Fraction(1)
-    x, y = solve_eq_nonneg(rows, [Fraction(1)] * len(es))
+    x, y = solve_eq_nonneg(incidence_rows(triangles, es), [ONE] * len(es))
     if x is not None:
         packing = FractionalPacking(
             RED, {t: x[col] for col, t in enumerate(triangles) if x[col] > 0}
         )
         return packing, None
-    return None, {e: y[i] for e, i in eidx.items()}
+    return None, dict(zip(es, y))
 
 
 def prescribed_packing(n: int, demand: dict[Edge, Fraction]):
@@ -376,7 +351,7 @@ def prescribed_packing(n: int, demand: dict[Edge, Fraction]):
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    demand = {(min(i, j), max(i, j)): Fraction(v) for (i, j), v in demand.items()}
+    demand = {norm_edge(e): Fraction(v) for e, v in demand.items()}
     for e, v in demand.items():
         if not (0 <= v <= 1):
             raise ValueError(f"demand on edge {e} is {v}, outside [0, 1]")
@@ -390,19 +365,13 @@ def prescribed_packing(n: int, demand: dict[Edge, Fraction]):
     ]
     if not es:
         return FractionalPacking(RED, {}), None
-    rows = [[ZERO] * len(triangles) for _ in es]
-    eidx = {e: i for i, e in enumerate(es)}
-    for col, t in enumerate(triangles):
-        for e in triangle_edges(t):
-            if e in eidx:
-                rows[eidx[e]][col] = Fraction(1)
-    x, y = solve_eq_nonneg(rows, [full[e] for e in es])
+    x, y = solve_eq_nonneg(incidence_rows(triangles, es), [full[e] for e in es])
     if x is not None:
         packing = FractionalPacking(
             RED, {t: x[col] for col, t in enumerate(triangles) if x[col] > 0}
         )
         return packing, None
-    return None, {e: y[i] for e, i in eidx.items()}
+    return None, dict(zip(es, y))
 
 
 # -- exact integral packing oracle ---------------------------------------
@@ -415,7 +384,7 @@ def integer_nu(n: int, edges) -> int:
     """
     if n > 9:
         raise ValueError(f"integer_nu is an exhaustive oracle for n <= 9, got n={n}")
-    es = _normalize_edges(edges)
+    es = {norm_edge(e) for e in edges}
     triangles = _triangles_of_simple_graph(n, es)
     if not triangles:
         return 0

@@ -3,11 +3,10 @@
 Starting from a seed list of complete colourings on n vertices, each level
 attaches one new vertex and exposes its edges one at a time, branching on
 the two colours.  After every exposure the maximum packing of the changed
-colour class is re-solved (warm-started from the parent); the untouched
-colour's packing is reused as is.  A branch is cut only when an exact
-rational certificate shows that the assigned part's total packing weight
-already exceeds the level threshold, so no colouring within the threshold is
-ever lost.  Completed colourings are deduplicated by canonical form and
+colour class is solved afresh; the untouched colour's packing is reused as
+is.  A branch is cut only when an exact rational certificate shows that the
+assigned part's total packing weight already exceeds the level threshold, so
+no colouring within the threshold is ever lost.  Completed colourings are deduplicated by canonical form and
 optionally removed by structural filters (pentagon blow-up distance or
 closeness of a colour class to bipartite).
 """
@@ -15,6 +14,7 @@ closeness of a colour class to bipartite).
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -72,7 +72,6 @@ class SearchNode:
     graph: ColoredGraph
     f_r: FractionalPacking
     f_b: FractionalPacking
-    depth: int
 
     def total(self) -> Fraction:
         return self.f_r.edge_weight_total() + self.f_b.edge_weight_total()
@@ -95,10 +94,8 @@ class SearchReport:
         return self.levels.setdefault(n, LevelStats())
 
 
-def solve_node(g: ColoredGraph, warm_r=None, warm_b=None, depth: int = 0) -> SearchNode:
-    f_r = nu_star(g, RED, warm=warm_r).packing
-    f_b = nu_star(g, BLUE, warm=warm_b).packing
-    return SearchNode(g, f_r, f_b, depth)
+def solve_node(g: ColoredGraph) -> SearchNode:
+    return SearchNode(g, nu_star(g, RED).packing, nu_star(g, BLUE).packing)
 
 
 def choose_next_vertex(node: SearchNode, order: str = GREEDY) -> int:
@@ -134,18 +131,8 @@ def expose(node: SearchNode, v: int) -> tuple[SearchNode, SearchNode]:
     u = g.n - 1
     red_g = g.set_edge(v, u, RED)
     blue_g = g.set_edge(v, u, BLUE)
-    red_child = SearchNode(
-        red_g,
-        nu_star(red_g, RED, warm=node.f_r).packing,
-        node.f_b,
-        node.depth + 1,
-    )
-    blue_child = SearchNode(
-        blue_g,
-        node.f_r,
-        nu_star(blue_g, BLUE, warm=node.f_b).packing,
-        node.depth + 1,
-    )
+    red_child = SearchNode(red_g, nu_star(red_g, RED).packing, node.f_b)
+    blue_child = SearchNode(blue_g, node.f_r, nu_star(blue_g, BLUE).packing)
     return red_child, blue_child
 
 
@@ -226,9 +213,7 @@ def run_search(
         level_filter = cfg.filters.get(level + 1)
         survivors: dict[str, SearchNode] = {}
         for parent in frontier:
-            root = SearchNode(
-                parent.graph.add_vertex(), parent.f_r, parent.f_b, 0
-            )
+            root = SearchNode(parent.graph.add_vertex(), parent.f_r, parent.f_b)
             if prune(root, threshold) is not None:
                 stats.pruned += 1
                 continue
@@ -282,9 +267,12 @@ def checkpoint(state: SearchState, path: str) -> None:
             str(n): vars(stats) for n, stats in sorted(state.report.levels.items())
         },
     }
-    with open(path, "w") as fh:
+    # a snapshot replaces the previous one only once it is fully written
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    os.replace(tmp, path)
 
 
 def resume(path: str) -> SearchState:
@@ -302,7 +290,7 @@ def resume(path: str) -> SearchState:
         g, red, blue, _ = certs.parse_packcert(item["packcert"])
         red.check_feasible(g)
         blue.check_feasible(g)
-        frontier.append(SearchNode(g, red, blue, 0))
+        frontier.append(SearchNode(g, red, blue))
     report = SearchReport(
         {
             int(n): LevelStats(**stats)

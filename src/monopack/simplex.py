@@ -10,10 +10,9 @@ Two entry points, both certificate-producing:
   simplex with artificial variables; on infeasibility it returns a Farkas
   vector y with y^T A_j >= 0 for every column j and y^T b < 0.
 
-Anti-cycling: entering columns are scanned in a fixed order (optionally a
-caller-supplied preference order, used for warm starts) and the leaving row
-breaks ties by smallest basis index, i.e. Bland's rule under a fixed column
-order, which terminates.
+Anti-cycling: entering columns are scanned in index order and the leaving
+row breaks ties by smallest basis index, i.e. Bland's rule, which
+terminates.
 """
 
 from __future__ import annotations
@@ -43,12 +42,17 @@ def _pivot(tab: list[list[Fraction]], basis: list[int], r: int, col: int) -> Non
     basis[r] = col
 
 
-def _run(tab, basis, order) -> None:
-    """Drive the objective row (last row of `tab`) to optimality."""
+def _run(tab, basis) -> None:
+    """Drive the objective row (last row of `tab`) to optimality.
+
+    Entering columns are scanned in index order over every column but the
+    rhs.  Slack columns must be candidates too, otherwise a vertex with a
+    negative dual component (positive slack reduced cost) looks optimal.
+    """
     obj = tab[-1]
     while True:
         col = -1
-        for j in order:
+        for j in range(len(obj) - 1):
             if obj[j] > 0:
                 col = j
                 break
@@ -73,7 +77,6 @@ def simplex_max_leq(
     a_rows: list[list[Fraction]],
     b: list[Fraction],
     c: list[Fraction],
-    prefer: list[int] | None = None,
 ):
     """Maximise c.x subject to A x <= b (b >= 0), x >= 0.
 
@@ -93,15 +96,7 @@ def simplex_max_leq(
     tab.append(obj)
     basis = [n + i for i in range(m)]
 
-    order = list(range(n))
-    if prefer:
-        seen = set(prefer)
-        order = list(prefer) + [j for j in order if j not in seen]
-    # slack columns must be entering candidates too, otherwise a vertex with a
-    # negative dual component (positive slack reduced cost) looks optimal
-    order += list(range(n, n + m))
-
-    _run(tab, basis, order)
+    _run(tab, basis)
 
     x = [ZERO] * n
     for r, bv in enumerate(basis):
@@ -146,7 +141,7 @@ def solve_eq_nonneg(a_rows: list[list[Fraction]], b: list[Fraction]):
     tab.append(obj)
     basis = [n + i for i in range(m)]
 
-    _run(tab, basis, list(range(n + m)))
+    _run(tab, basis)
 
     obj = tab[-1]
     # the stored rhs of the objective row is -(phase-1 optimum)

@@ -21,19 +21,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import BLUE, RED, ColoredGraph, Edge
+from .graph import BLUE, RED, ColoredGraph, Edge, norm_edge
 
 Triple = tuple[int, int, int]
 
 RED_WINDOW = (0, 2, 3)
 BLUE_WINDOW = (0, 1, 2)
-
-
-def _norm_edge(e) -> Edge:
-    i, j = e
-    if i == j:
-        raise ValueError(f"loop edge ({i}, {j})")
-    return (i, j) if i < j else (j, i)
 
 
 def _adjacency(n: int, edges) -> list[set[int]]:
@@ -57,7 +50,7 @@ class BipartitionCert:
         if self.part1 & self.part2 or (self.part1 | self.part2) != set(range(n)):
             return False
         for e in edges:
-            e = _norm_edge(e)
+            e = norm_edge(e)
             if e in self.removed_edges:
                 continue
             i, j = e
@@ -131,7 +124,7 @@ def bip_distance_at_most(n: int, edges, k: int) -> BipartitionCert | None:
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    edge_set = {_norm_edge(e) for e in edges}
+    edge_set = {norm_edge(e) for e in edges}
 
     def rec(current: set[Edge], budget: int) -> set[Edge] | None:
         adj = _adjacency(n, current)
@@ -142,7 +135,7 @@ def bip_distance_at_most(n: int, edges, k: int) -> BipartitionCert | None:
             return None
         m = len(cycle)
         for t in range(m):
-            e = _norm_edge((cycle[t], cycle[(t + 1) % m]))
+            e = norm_edge((cycle[t], cycle[(t + 1) % m]))
             sub = rec(current - {e}, budget - 1)
             if sub is not None:
                 sub.add(e)
@@ -171,7 +164,7 @@ def min_bipartition_deletions(n: int, edges) -> int:
     """
     if not 1 <= n <= 28:
         raise ValueError(f"n={n} outside supported range 1..28")
-    edge_list = sorted({_norm_edge(e) for e in edges})
+    edge_list = sorted({norm_edge(e) for e in edges})
     if not edge_list:
         return 0
     a = n // 2

@@ -141,6 +141,16 @@ def test_covercert_parse_errors():
         parse_covercert(
             "COVERCERT v1\ngraph: n=3 RRR\ncolor: R\nclaim: nustar <= 1\n0 1\n"
         )
+    head = "COVERCERT v1\ngraph: n=3 RRR\ncolor: R\nclaim: nustar <= 1\n"
+    for body in (
+        "0 1 1/2\n0 1 1/2\n",  # duplicate edge line
+        "1 0 1\n",  # i > j
+        "1 1 1\n",  # i == j
+        "0 3 1\n",  # vertex outside 0..n-1
+        "-1 2 1\n",
+    ):
+        with pytest.raises(CertFormatError):
+            parse_covercert(head + body)
 
 
 def test_negative_cover_weight_rejected():

@@ -1,9 +1,10 @@
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
-from monopack.cli import main
+from monopack.cli import _parse_threshold, main
 from monopack.graph import ColoredGraph
 
 
@@ -159,11 +160,24 @@ def test_search_cli(tmp_path, capsys):
     capsys.readouterr()
     assert main(["search", "--n-end", "5", "--filter", "5:bogus"]) == 3
     capsys.readouterr()
-    assert main(["search", "--n-end", "5", "--jobs", "0"]) == 3
-    capsys.readouterr()
     missing = os.path.join(tmp_path, "nope.json")
     assert main(["search", "--resume", missing, "--n-end", "6"]) == 2
     capsys.readouterr()
+
+
+def test_threshold_expression_is_restricted(capsys):
+    escape = (
+        '[c for c in ().__class__.__base__.__subclasses__() '
+        'if c.__name__ == "_wrap_close"][0].__init__.__globals__["getcwd"]()'
+    )
+    for expr in (escape, "[1]", "n ** 2", "abs(n)", "1 / (n - 4)"):
+        assert main(["search", "--n-end", "5", "--threshold", expr]) == 3
+        assert "bad threshold expression" in capsys.readouterr().err
+    threshold = _parse_threshold("Fraction(n * (n + 1), 4)")
+    assert [threshold(n) for n in range(3, 20)] == [
+        Fraction(n * (n + 1), 4) for n in range(3, 20)
+    ]
+    assert _parse_threshold("-n // 3 + 7 / 2")(5) == Fraction(3, 2)
 
 
 def test_pentagon_too_small(tmp_path, capsys):

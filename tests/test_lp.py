@@ -6,7 +6,6 @@ import pytest
 
 from monopack.graph import BLUE, RED, ColoredGraph
 from monopack.lp import (
-    WarmStartError,
     certified_exceeds,
     frac_decomposition,
     integer_nu,
@@ -16,6 +15,7 @@ from monopack.lp import (
     rationalize,
     triangle_edges,
 )
+from monopack.structure import bip_distance_at_most
 
 F = Fraction
 
@@ -74,32 +74,6 @@ def test_partial_colouring_uses_assigned_part_only():
     assert nu_star(g, RED).primal_value == 1
     g = g.set_edge(2, 3, RED)
     assert nu_star(g, RED).primal_value == 2
-
-
-def test_warm_start_values_match_cold():
-    rng = random.Random(7)
-    for _ in range(15):
-        g = random_graph(rng, 6)
-        h = g.add_vertex()
-        warm = nu_star(g, RED).packing
-        edges = [(v, 6) for v in range(6)]
-        for v, u in edges:
-            h = h.set_edge(v, u, rng.choice("RB"))
-        warm_res = nu_star(h, RED, warm=warm)
-        cold_res = nu_star(h, RED)
-        assert warm_res.primal_value == cold_res.primal_value
-
-
-def test_warm_start_rejects_infeasible():
-    g = ColoredGraph.monochromatic(4)
-    from monopack.lp import FractionalPacking
-
-    bad = FractionalPacking(RED, {(0, 1, 2): F(2)})
-    with pytest.raises(WarmStartError):
-        nu_star(g, RED, warm=bad)
-    wrong_color = FractionalPacking(BLUE, {})
-    with pytest.raises(WarmStartError):
-        nu_star(g, RED, warm=wrong_color)
 
 
 def test_rationalize_repairs_to_feasibility():
@@ -166,6 +140,16 @@ def test_integer_nu_oracle_values():
     assert integer_nu(3, [(0, 1)]) == 0
     with pytest.raises(ValueError):
         integer_nu(10, [])
+
+
+def test_loop_edge_rejected():
+    edges = [(0, 1), (1, 2), (0, 2), (1, 1)]
+    with pytest.raises(ValueError, match="loop"):
+        frac_decomposition(3, edges)
+    with pytest.raises(ValueError, match="loop"):
+        integer_nu(3, edges)
+    with pytest.raises(ValueError, match="loop"):
+        bip_distance_at_most(3, edges, 1)
 
 
 def test_integer_at_most_fractional_small_random():

@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 from fractions import Fraction
 
@@ -161,6 +162,28 @@ def test_checkpoint_round_trip(tmp_path):
     checkpoint(state, path2)
     with open(path) as a, open(path2) as b:
         assert a.read() == b.read()
+
+
+def test_failed_checkpoint_keeps_previous_snapshot(tmp_path, monkeypatch):
+    path = os.path.join(tmp_path, "ckpt.json")
+    run_search([ColoredGraph(3, "RRB")], SearchConfig(n_end=4), checkpoint_path=path)
+    with open(path) as fh:
+        before = fh.read()
+    state = resume(path)
+
+    def dump_then_fail(obj, fh, **kwargs):
+        fh.write('{"format": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    with pytest.raises(OSError):
+        checkpoint(SearchState(5, [], state.report, state.admit_swap), path)
+    monkeypatch.undo()
+    with open(path) as fh:
+        assert fh.read() == before
+    again = resume(path)
+    assert again.level == 4
+    assert [n.graph for n in again.frontier] == [n.graph for n in state.frontier]
 
 
 def test_resume_continues_equivalently(tmp_path):
