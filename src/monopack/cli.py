@@ -289,17 +289,21 @@ def _parse_threshold(expr: str):
             return lambda n: Fraction(*(a(n) for a in args))
         raise bad(f"{ast.unparse(node)!r} is not allowed")
 
+    too_deep = "nested too deeply"
     try:
-        tree = ast.parse(expr, mode="eval")
+        body = compile_node(ast.parse(expr, mode="eval").body)
     except SyntaxError as exc:
         raise bad(exc.msg) from None
-    body = compile_node(tree.body)
+    except (RecursionError, MemoryError):
+        raise bad(too_deep) from None
 
     def threshold(n: int) -> Fraction:
         try:
             return body(n)
         except ZeroDivisionError:
             raise bad(f"division by zero at n={n}") from None
+        except (RecursionError, MemoryError):
+            raise bad(too_deep) from None
 
     return threshold
 
@@ -330,7 +334,6 @@ def cmd_search(args) -> int:
         threshold=_parse_threshold(args.threshold),
         filters=_parse_filters(args.filter),
         admit_swap=not args.no_swap,
-        vertex_order=search_mod.FIXED if args.fixed_order else search_mod.GREEDY,
     )
     state = None
     if args.resume:
@@ -422,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter", action="append", default=[],
                    help="level:pentagon or level:bip:k, repeatable")
     p.add_argument("--no-swap", action="store_true")
-    p.add_argument("--fixed-order", action="store_true", help="expose vertices by index")
     p.add_argument("--checkpoint", help="write a resumable snapshot after each level")
     p.add_argument("--resume", help="continue from a checkpoint file")
     p.add_argument("--certs", help="directory for survivor certificates")

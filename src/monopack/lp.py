@@ -1,11 +1,11 @@
 """Certified fractional triangle packing computations.
 
 All results are exact rationals.  The default solve path runs a float LP
-(scipy/HiGHS) for speed, converts the float solution to rationals by
-continued-fraction approximation, repairs it to strict feasibility, and
-accepts only if the rational primal and dual values agree exactly; otherwise
-it falls back to the exact rational simplex.  Either way, a returned
-`SolveResult` with status OPTIMAL carries matching primal and dual
+(scipy/HiGHS) for speed and snaps its primal and dual solutions to nearby
+fractions.  It accepts them only if the primal and dual values agree exactly
+and both pass the same feasibility checks that replay certificates;
+otherwise it falls back to the exact rational simplex.  Either way, a
+returned `SolveResult` with status OPTIMAL carries matching primal and dual
 certificates.
 
 Scaling conventions: `nu_star` values are sums of triangle weights; the
@@ -17,12 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .graph import BLUE, RED, ColoredGraph, Edge, Triangle, norm_edge
+from .graph import BLUE, COLORS, RED, ColoredGraph, Edge, Triangle, norm_edge
 from .simplex import ONE, ZERO, simplex_max_leq, solve_eq_nonneg
 
 MAX_DENOMINATOR = 10**6
@@ -82,9 +81,13 @@ class FractionalPacking:
 
     def check_feasible(self, g: ColoredGraph) -> None:
         """Raise ValueError unless this is a valid packing in g's colour class."""
-        mono = set(g.monochromatic_triangles(self.color))
+        if self.color not in COLORS:
+            raise ValueError(f"colour must be one of {COLORS}, got {self.color!r}")
         for t, w in self.weights.items():
-            if t not in mono:
+            i, j, k = t
+            if not 0 <= i < j < k < g.n:
+                raise ValueError(f"triangle {t} needs 0 <= i < j < k < {g.n}")
+            if not g.color_of(i, j) == g.color_of(i, k) == g.color_of(j, k) == self.color:
                 raise ValueError(f"triangle {t} is not {self.color}-monochromatic")
             if not (0 <= w <= 1):
                 raise ValueError(f"triangle {t} has weight {w} outside [0, 1]")
@@ -135,62 +138,37 @@ class PackValue:
     blue: SolveResult
 
 
-def _repair_packing(
-    weights: dict[Triangle, Fraction], triangles: list[Triangle]
-) -> dict[Triangle, Fraction]:
-    """Clamp to [0, 1] and uniformly down-scale per over-full edge."""
-    w = {t: min(max(weights.get(t, ZERO), ZERO), Fraction(1)) for t in triangles}
-    w = {t: v for t, v in w.items() if v > 0}
-    by_edge: dict[Edge, list[Triangle]] = {}
-    for t in w:
-        for e in triangle_edges(t):
-            by_edge.setdefault(e, []).append(t)
-    for e, ts in by_edge.items():
-        load = sum((w[t] for t in ts if t in w), ZERO)
-        if load > 1:
-            scale = Fraction(1) / load
-            for t in ts:
-                if t in w:
-                    w[t] *= scale
-    return {t: v for t, v in w.items() if v > 0}
+def _snap(keys: list, values) -> dict:
+    """The positive fractions nearest `values`, keyed by `keys`."""
+    snapped = {}
+    for key, v in zip(keys, values):
+        if v > 0:  # most LP weights are exactly 0; skip snapping them
+            q = Fraction(float(v)).limit_denominator(MAX_DENOMINATOR)
+            if q:
+                snapped[key] = q
+    return snapped
 
 
 def rationalize(
-    float_weights: dict[Triangle, float | Fraction], g: ColoredGraph, color: str
-) -> FractionalPacking:
-    """Continued-fraction rationalisation of approximate triangle weights.
+    xs, duals, triangles: list[Triangle], edges: list[Edge], g: ColoredGraph, color: str
+) -> SolveResult | None:
+    """Certified rationalisation of a float LP solution, or None.
 
-    The result is always strictly feasible: weights are clamped to [0, 1],
-    triangles that are not monochromatic of `color` are dropped, and every
-    over-full edge is repaired by uniformly scaling down its triangles.
+    `xs` weights `triangles` and `duals` weights `edges`.  Both are snapped
+    to nearby fractions; the result is accepted only if the primal and dual
+    values agree exactly and both certificates pass their feasibility checks.
     """
-    triangles = g.monochromatic_triangles(color)
-    tset = set(triangles)
-    approx: dict[Triangle, Fraction] = {}
-    for t, v in float_weights.items():
-        if t not in tset:
-            continue
-        q = v if isinstance(v, Fraction) else Fraction(v).limit_denominator(MAX_DENOMINATOR)
-        if q > 0:
-            approx[t] = q
-    return FractionalPacking(color, _repair_packing(approx, triangles))
-
-
-def _repair_cover(
-    edge_weights: dict[Edge, Fraction], triangles: list[Triangle]
-) -> dict[Edge, Fraction] | None:
-    y = {e: v for e, v in edge_weights.items() if v > 0}
-    worst = None
-    for t in triangles:
-        s = sum((y.get(e, ZERO) for e in triangle_edges(t)), ZERO)
-        if worst is None or s < worst:
-            worst = s
-    if worst is not None and worst < 1:
-        if worst <= 0:
-            return None
-        scale = Fraction(1) / worst
-        y = {e: v * scale for e, v in y.items()}
-    return y
+    packing = FractionalPacking(color, _snap(triangles, xs))
+    cover = FractionalCover(color, _snap(edges, duals))
+    primal, dual = packing.value(), cover.value()
+    if primal != dual:
+        return None
+    try:
+        packing.check_feasible(g)
+        cover.check_feasible(g)
+    except ValueError:
+        return None
+    return SolveResult(packing, cover, primal, dual, OPTIMAL)
 
 
 def _float_solve(triangles: list[Triangle], edges: list[Edge]):
@@ -206,8 +184,7 @@ def _float_solve(triangles: list[Triangle], edges: list[Edge]):
     )
     if not res.success:
         return None
-    duals = -np.asarray(res.ineqlin.marginals)
-    return res.x, {e: duals[r] for r, e in enumerate(edges)}
+    return res.x, -np.asarray(res.ineqlin.marginals)
 
 
 def _exact_solve(triangles: list[Triangle], edges: list[Edge], color: str):
@@ -238,22 +215,9 @@ def nu_star(g: ColoredGraph, color: str, exact_only: bool = False) -> SolveResul
     if not exact_only:
         sol = _float_solve(triangles, edges)
         if sol is not None:
-            xs, duals = sol
-            packing = rationalize(
-                {t: float(xs[i]) for i, t in enumerate(triangles)}, g, color
-            )
-            y = {
-                e: Fraction(v).limit_denominator(MAX_DENOMINATOR)
-                for e, v in duals.items()
-                if v > 1e-12
-            }
-            y = _repair_cover(y, triangles)
-            if y is not None:
-                primal = packing.value()
-                dual = sum(y.values(), ZERO)
-                if primal == dual:
-                    cover = FractionalCover(color, y)
-                    return SolveResult(packing, cover, primal, dual, OPTIMAL)
+            result = rationalize(*sol, triangles, edges, g, color)
+            if result is not None:
+                return result
 
     return _exact_solve(triangles, edges, color)
 
@@ -310,14 +274,6 @@ def certified_exceeds(
 # -- fractional decompositions -------------------------------------------
 
 
-def _triangles_of_simple_graph(n: int, edges: set[Edge]) -> list[Triangle]:
-    return [
-        (i, j, k)
-        for i, j, k in combinations(range(n), 3)
-        if (i, j) in edges and (i, k) in edges and (j, k) in edges
-    ]
-
-
 def frac_decomposition(n: int, edges):
     """Fractional triangle decomposition of a simple graph (every edge weight 1).
 
@@ -328,7 +284,7 @@ def frac_decomposition(n: int, edges):
     es = sorted({norm_edge(e) for e in edges})
     if not es:
         return FractionalPacking(RED, {}), None
-    triangles = _triangles_of_simple_graph(n, set(es))
+    triangles = ColoredGraph.from_red_edges(n, es).monochromatic_triangles(RED)
     in_some = {e for t in triangles for e in triangle_edges(t)}
     uncovered = [e for e in es if e not in in_some]
     if uncovered:
@@ -355,17 +311,12 @@ def prescribed_packing(n: int, demand: dict[Edge, Fraction]):
     for e, v in demand.items():
         if not (0 <= v <= 1):
             raise ValueError(f"demand on edge {e} is {v}, outside [0, 1]")
-    full = {e: demand.get(e, ZERO) for e in combinations(range(n), 2)}
-    zero_edges = {e for e, v in full.items() if v == 0}
-    es = sorted(e for e, v in full.items() if v > 0)
-    triangles = [
-        t
-        for t in combinations(range(n), 3)
-        if not any(e in zero_edges for e in triangle_edges(t))
-    ]
+    es = sorted(e for e, v in demand.items() if v > 0)
     if not es:
         return FractionalPacking(RED, {}), None
-    x, y = solve_eq_nonneg(incidence_rows(triangles, es), [full[e] for e in es])
+    # a triangle through a zero-demand edge can carry no weight
+    triangles = ColoredGraph.from_red_edges(n, es).monochromatic_triangles(RED)
+    x, y = solve_eq_nonneg(incidence_rows(triangles, es), [demand[e] for e in es])
     if x is not None:
         packing = FractionalPacking(
             RED, {t: x[col] for col, t in enumerate(triangles) if x[col] > 0}
@@ -385,7 +336,7 @@ def integer_nu(n: int, edges) -> int:
     if n > 9:
         raise ValueError(f"integer_nu is an exhaustive oracle for n <= 9, got n={n}")
     es = {norm_edge(e) for e in edges}
-    triangles = _triangles_of_simple_graph(n, es)
+    triangles = ColoredGraph.from_red_edges(n, es).monochromatic_triangles(RED)
     if not triangles:
         return 0
     tri_masks = []

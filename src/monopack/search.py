@@ -32,9 +32,6 @@ KEEP = "keep"
 FILTERED_PENTAGON = "filtered-pentagon"
 FILTERED_BIPARTITE = "filtered-bipartite"
 
-GREEDY = "greedy"
-FIXED = "fixed"
-
 
 def default_threshold(n: int) -> Fraction:
     """Bound applied while extending a complete colouring on n vertices."""
@@ -57,11 +54,6 @@ class SearchConfig:
     threshold: Callable[[int], Fraction] = default_threshold
     filters: dict = field(default_factory=dict)  # level -> filter instance
     admit_swap: bool = True
-    vertex_order: str = GREEDY
-
-    def __post_init__(self):
-        if self.vertex_order not in (GREEDY, FIXED):
-            raise ValueError(f"unknown vertex order {self.vertex_order!r}")
 
 
 @dataclass(frozen=True)
@@ -98,10 +90,9 @@ def solve_node(g: ColoredGraph) -> SearchNode:
     return SearchNode(g, nu_star(g, RED).packing, nu_star(g, BLUE).packing)
 
 
-def choose_next_vertex(node: SearchNode, order: str = GREEDY) -> int:
-    """Endpoint of an unassigned edge at the newest vertex to expose next.
-
-    Greedy: the vertex closing the most monochromatic triangles against the
+def choose_next_vertex(node: SearchNode) -> int:
+    """Endpoint of an unassigned edge at the newest vertex to expose next:
+    the vertex closing the most monochromatic triangles against the
     already-assigned edges, ties broken by smallest index.
     """
     g = node.graph
@@ -109,8 +100,6 @@ def choose_next_vertex(node: SearchNode, order: str = GREEDY) -> int:
     cands = [v for v in range(u) if g.color_of(v, u) == UNASSIGNED]
     if not cands:
         raise ValueError("node is complete")
-    if order == FIXED:
-        return cands[0]
     best_v, best_score = cands[0], -1
     for v in cands:
         score = 0
@@ -232,7 +221,7 @@ def run_search(
                     else:
                         survivors[key.key] = node
                     continue
-                v = choose_next_vertex(node, cfg.vertex_order)
+                v = choose_next_vertex(node)
                 for child in expose(node, v):
                     if prune(child, threshold) is not None:
                         stats.pruned += 1

@@ -99,6 +99,16 @@ def test_packcert_rejects_wrong_color_triangle():
     assert not ok and "not R-monochromatic" in msg
 
 
+def test_packcert_rejects_unsorted_and_out_of_range_triangles():
+    # the reordered copy of 0 1 2 would load other edge keys than its own
+    reordered = "PACKCERT v1\ngraph: n=3 RRR\nclaim: pack >= 6\nR 0 1 2 1\nR 2 1 0 1\n"
+    ok, msg = verify_packcert(reordered)
+    assert not ok and "0 <= i < j < k < 3" in msg
+    outside = "PACKCERT v1\ngraph: n=3 RRR\nclaim: pack >= 0\nR 0 1 5 1\n"
+    ok, msg = verify_packcert(outside)
+    assert not ok and "0 <= i < j < k < 3" in msg
+
+
 def test_covercert_round_trip():
     g = ColoredGraph.monochromatic(5)
     cover = nu_star(g, RED).cover

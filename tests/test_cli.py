@@ -178,6 +178,10 @@ def test_threshold_expression_is_restricted(capsys):
         Fraction(n * (n + 1), 4) for n in range(3, 20)
     ]
     assert _parse_threshold("-n // 3 + 7 / 2")(5) == Fraction(3, 2)
+    # nesting deep enough to exhaust the recursion limit or memory
+    for expr in ("-" * 1000 + "1", "+".join(["n"] * 1000), "-" * 100000 + "1"):
+        assert main(["search", "--n-end", "3", "--threshold=" + expr]) == 3
+        assert "nested too deeply" in capsys.readouterr().err
 
 
 def test_pentagon_too_small(tmp_path, capsys):

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from monopack import lp
 from monopack.graph import BLUE, RED, ColoredGraph
 from monopack.lp import (
     certified_exceeds,
@@ -76,15 +77,31 @@ def test_partial_colouring_uses_assigned_part_only():
     assert nu_star(g, RED).primal_value == 2
 
 
-def test_rationalize_repairs_to_feasibility():
+def test_float_solution_failing_checks_falls_back_to_exact(monkeypatch):
     g = ColoredGraph.monochromatic(4)
     tris = g.monochromatic_triangles(RED)
-    noisy = {t: 0.51 for t in tris}  # overloads every edge
-    noisy[(9, 9, 9)] = 1.0  # not a triangle of g; must be dropped
-    p = rationalize(noisy, g, RED)
-    p.check_feasible(g)
-    exact = {t: F(1, 2) for t in tris}
-    assert rationalize(exact, g, RED).weights == exact
+    edges = sorted({e for t in tris for e in triangle_edges(t)})
+    # primal and dual both total 51/25, but every edge is loaded to 51/50
+    overloaded = ([0.51] * len(tris), [0.34] * len(edges))
+    assert rationalize(*overloaded, tris, edges, g, RED) is None
+    exact_calls = []
+    real_exact_solve = lp._exact_solve
+
+    def exact_solve(*args):
+        exact_calls.append(args)
+        return real_exact_solve(*args)
+
+    monkeypatch.setattr(lp, "_float_solve", lambda triangles, edges: overloaded)
+    monkeypatch.setattr(lp, "_exact_solve", exact_solve)
+    res = nu_star(g, RED)
+    assert res.primal_value == res.dual_value == 2
+    assert len(exact_calls) == 1
+    res.packing.check_feasible(g)
+    res.cover.check_feasible(g)
+    # the optimum itself is accepted as it stands
+    optimal = rationalize([0.5] * len(tris), [1 / 3] * len(edges), tris, edges, g, RED)
+    assert optimal.primal_value == optimal.dual_value == 2
+    assert optimal.packing.weights == {t: F(1, 2) for t in tris}
 
 
 def test_certified_exceeds_is_strict_and_sound():
@@ -150,6 +167,13 @@ def test_loop_edge_rejected():
         integer_nu(3, edges)
     with pytest.raises(ValueError, match="loop"):
         bip_distance_at_most(3, edges, 1)
+    out_of_range = [(0, 1), (1, 2), (0, 2), (2, 5)]
+    with pytest.raises(ValueError, match="out of range"):
+        frac_decomposition(3, out_of_range)
+    with pytest.raises(ValueError, match="out of range"):
+        integer_nu(3, out_of_range)
+    with pytest.raises(ValueError, match="out of range"):
+        prescribed_packing(3, {(2, 5): F(1, 2)})
 
 
 def test_integer_at_most_fractional_small_random():

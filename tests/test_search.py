@@ -215,15 +215,6 @@ def test_resume_rejects_corrupt_and_mismatched(tmp_path):
         run_search([], SearchConfig(n_end=5, admit_swap=False), state=state)
 
 
-def test_fixed_and_greedy_orders_agree():
-    seeds = [ColoredGraph(3, "RRB")]
-    a = run_search(seeds, SearchConfig(n_end=5, vertex_order="greedy"))[0][5]
-    b = run_search(seeds, SearchConfig(n_end=5, vertex_order="fixed"))[0][5]
-    assert {g.colors for g in a} == {g.colors for g in b}
-    with pytest.raises(ValueError):
-        SearchConfig(n_end=5, vertex_order="sideways")
-
-
 def test_blowup_extension_shadows_known_families():
     """Extending a 17-vertex blow-up of the smallest listed families by one
     vertex: every survivor within the running threshold stays within one
