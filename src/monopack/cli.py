@@ -126,7 +126,7 @@ def cmd_table1(args) -> int:
             "family": "".join(map(str, sizes)) + ("*" if flipped else ""),
             "n": n,
             "pack": _rat(value),
-            "extension_threshold": _rat(Fraction(n * (n + 1), 4)),
+            "extension_threshold": _rat(search_mod.default_threshold(n)),
             "bipartite_value": (n - 1) ** 2 // 4,
             "expected": expected,
             "match": value == expected,
@@ -263,8 +263,11 @@ def _parse_threshold(expr: str):
     the text reaches nothing but exact arithmetic; `/` divides exactly.
     """
 
+    def clip(text: str) -> str:
+        return repr(text[:60]) + ("..." if len(text) > 60 else "")
+
     def bad(detail: str) -> CliError:
-        return CliError(f"bad threshold expression {expr!r}: {detail}", EXIT_PRECONDITION)
+        return CliError(f"bad threshold expression {clip(expr)}: {detail}", EXIT_PRECONDITION)
 
     def compile_node(node):
         if isinstance(node, ast.Name) and node.id == "n":
@@ -287,7 +290,7 @@ def _parse_threshold(expr: str):
         ):
             args = [compile_node(a) for a in node.args]
             return lambda n: Fraction(*(a(n) for a in args))
-        raise bad(f"{ast.unparse(node)!r} is not allowed")
+        raise bad(f"{clip(ast.unparse(node))} is not allowed")
 
     too_deep = "nested too deeply"
     try:

@@ -18,8 +18,8 @@ from itertools import combinations
 from math import comb
 
 from .graph import BLUE, RED, ColoredGraph, Edge, norm_edge
-from .lp import FractionalPacking, incidence_rows, triangle_edges
-from .simplex import ONE, ZERO, solve_eq_nonneg
+from .lp import FractionalPacking, solve_loads, triangle_edges
+from .simplex import ZERO
 from .structure import PentagonCert
 
 HALF = Fraction(1, 2)
@@ -156,15 +156,10 @@ def pentagon_pack_closed_form(sizes, flipped: bool) -> Fraction:
 # -- two-blob packings -----------------------------------------------------
 
 
-def _host(n_a: int, n_b: int, missing: set[Edge]) -> ColoredGraph:
-    """Graph on A = 0..n_a-1, B = n_a..n_a+n_b-1: present edges red, missing
-    cross edges blue."""
-    n = n_a + n_b
-    red = {
-        (i, j)
-        for i, j in combinations(range(n), 2)
-        if (i, j) not in missing
-    }
+def _host(n: int, absent: set[Edge]) -> ColoredGraph:
+    """Graph on n vertices: every pair red except the `absent` ones, which
+    are blue."""
+    red = {e for e in combinations(range(n), 2) if e not in absent}
     return ColoredGraph.from_red_edges(n, red)
 
 
@@ -223,26 +218,6 @@ def _matching_weights(
     return FractionalPacking(RED, weights)
 
 
-def _residual_solve(
-    triangles, demand: dict[Edge, Fraction], capacity: dict[Edge, Fraction]
-) -> dict | None:
-    """Triangle weights meeting exact demands and edge capacities (via slacks)."""
-    triangles = list(triangles)
-    d_edges = sorted(demand)
-    c_edges = sorted(capacity)
-    rows = incidence_rows(triangles, d_edges + c_edges)
-    slack = len(c_edges)
-    for r, row in enumerate(rows):
-        # capacity row k gets slack column k; demand rows get none
-        k = r - len(d_edges)
-        row.extend(ONE if i == k else ZERO for i in range(slack))
-    rhs = [demand[e] for e in d_edges] + [capacity[e] for e in c_edges]
-    x, _ = solve_eq_nonneg(rows, rhs)
-    if x is None:
-        return None
-    return {t: x[col] for col, t in enumerate(triangles) if x[col] > 0}
-
-
 def ab_packing(
     case: str, n_a: int, n_b: int, missing=()
 ) -> tuple[ColoredGraph, FractionalPacking]:
@@ -282,7 +257,7 @@ def ab_packing(
     else:
         raise ValueError(f"unknown case {case!r}")
 
-    g = _host(n_a, n_b, missing)
+    g = _host(n_a + n_b, missing)
     packing.check_feasible(g)
     _check_two_blob(packing, n_a, n_b, missing)
     return g, packing
@@ -322,9 +297,9 @@ def _two_edges_at_a(n_a: int, n_b: int, missing: set[Edge]) -> FractionalPacking
            for a in range(n_a)
            if (a, u) not in missing and (a, v) not in missing]
     )
-    weights = _residual_solve(cross, demand, capacity)
-    assert weights is not None, "cross-triangle completion is infeasible"
-    return FractionalPacking(RED, weights)
+    packing, _ = solve_loads(cross, demand, capacity)
+    assert packing is not None, "cross-triangle completion is infeasible"
+    return packing
 
 
 def _three_five(n_a: int, n_b: int, missing: set[Edge]) -> FractionalPacking:
@@ -456,7 +431,8 @@ def abc_packing(
             for t, w in sub.items():
                 add(t, w)
 
-    g = _abc_host(n, n_a, b_hi, missing)
+    absent = missing | {(a, c) for a in range(n_a) for c in range(b_hi, n)}
+    g = _host(n, absent)
     packing = FractionalPacking(RED, dict(weights))
     packing.check_feasible(g)
     _check_three_blob(packing, n_a, b_lo, b_hi, n, missing)
@@ -489,13 +465,6 @@ def _matching_weights_at(
     return {
         tuple(sorted(v + b_lo for v in t)): w for t, w in packing.weights.items()
     }
-
-
-def _abc_host(n: int, n_a: int, b_hi: int, missing: set[Edge]) -> ColoredGraph:
-    absent = set(missing)
-    absent.update((a, c) for a in range(n_a) for c in range(b_hi, n))
-    red = {e for e in combinations(range(n), 2) if e not in absent}
-    return ColoredGraph.from_red_edges(n, red)
 
 
 def _check_three_blob(

@@ -5,8 +5,12 @@ All results are exact rationals.  The default solve path runs a float LP
 fractions.  It accepts them only if the primal and dual values agree exactly
 and both pass the same feasibility checks that replay certificates;
 otherwise it falls back to the exact rational simplex.  Either way, a
-returned `SolveResult` with status OPTIMAL carries matching primal and dual
-certificates.
+returned `SolveResult` carries matching primal and dual certificates, and its
+values are read off them.
+
+`solve_loads` is the one solver for triangle weights with prescribed edge
+loads; `frac_decomposition`, `prescribed_packing` and the two-blob
+constructions all go through it.
 
 Scaling conventions: `nu_star` values are sums of triangle weights; the
 total edge weight of a colouring (the quantity thresholded by the search) is
@@ -25,7 +29,6 @@ from .graph import BLUE, COLORS, RED, ColoredGraph, Edge, Triangle, norm_edge
 from .simplex import ONE, ZERO, simplex_max_leq, solve_eq_nonneg
 
 MAX_DENOMINATOR = 10**6
-OPTIMAL = "optimal"
 
 
 def triangle_edges(t: Triangle) -> tuple[Edge, Edge, Edge]:
@@ -118,15 +121,18 @@ class FractionalCover:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """An optimal packing with the cover that proves it optimal."""
+
     packing: FractionalPacking
     cover: FractionalCover
-    primal_value: Fraction
-    dual_value: Fraction
-    status: str
 
     @property
-    def optimal(self) -> bool:
-        return self.status == OPTIMAL
+    def primal_value(self) -> Fraction:
+        return self.packing.value()
+
+    @property
+    def dual_value(self) -> Fraction:
+        return self.cover.value()
 
 
 @dataclass(frozen=True)
@@ -160,15 +166,14 @@ def rationalize(
     """
     packing = FractionalPacking(color, _snap(triangles, xs))
     cover = FractionalCover(color, _snap(edges, duals))
-    primal, dual = packing.value(), cover.value()
-    if primal != dual:
+    if packing.value() != cover.value():
         return None
     try:
         packing.check_feasible(g)
         cover.check_feasible(g)
     except ValueError:
         return None
-    return SolveResult(packing, cover, primal, dual, OPTIMAL)
+    return SolveResult(packing, cover)
 
 
 def _float_solve(triangles: list[Triangle], edges: list[Edge]):
@@ -190,12 +195,12 @@ def _float_solve(triangles: list[Triangle], edges: list[Edge]):
 def _exact_solve(triangles: list[Triangle], edges: list[Edge], color: str):
     b = [ONE] * len(edges)
     c = [ONE] * len(triangles)
-    x, y, value = simplex_max_leq(incidence_rows(triangles, edges), b, c)
+    x, y, _ = simplex_max_leq(incidence_rows(triangles, edges), b, c)
     packing = FractionalPacking(
         color, {t: x[col] for col, t in enumerate(triangles) if x[col] > 0}
     )
     cover = FractionalCover(color, {e: y[r] for r, e in enumerate(edges) if y[r] > 0})
-    return SolveResult(packing, cover, value, value, OPTIMAL)
+    return SolveResult(packing, cover)
 
 
 def nu_star(g: ColoredGraph, color: str, exact_only: bool = False) -> SolveResult:
@@ -207,9 +212,7 @@ def nu_star(g: ColoredGraph, color: str, exact_only: bool = False) -> SolveResul
     """
     triangles = g.monochromatic_triangles(color)
     if not triangles:
-        return SolveResult(
-            FractionalPacking(color), FractionalCover(color), ZERO, ZERO, OPTIMAL
-        )
+        return SolveResult(FractionalPacking(color), FractionalCover(color))
     edges = sorted({e for t in triangles for e in triangle_edges(t)})
 
     if not exact_only:
@@ -235,14 +238,17 @@ class ExceedCertificate:
 
     red: FractionalPacking
     blue: FractionalPacking
-    total: Fraction  # 3 * (red + blue triangle weight)
     threshold: Fraction
+
+    @property
+    def total(self) -> Fraction:
+        """3 * (red + blue triangle weight)."""
+        return self.red.edge_weight_total() + self.blue.edge_weight_total()
 
     def check(self, g: ColoredGraph) -> None:
         self.red.check_feasible(g)
         self.blue.check_feasible(g)
-        total = self.red.edge_weight_total() + self.blue.edge_weight_total()
-        if total != self.total or not total > self.threshold:
+        if not self.total > self.threshold:
             raise ValueError("certificate does not exceed its threshold")
 
 
@@ -263,12 +269,44 @@ def certified_exceeds(
         red = nu_star(g, RED).packing
     if blue is None:
         blue = nu_star(g, BLUE).packing
-    total = red.edge_weight_total() + blue.edge_weight_total()
-    if total > threshold:
-        cert = ExceedCertificate(red, blue, total, threshold)
-        cert.check(g)
-        return cert
-    return None
+    cert = ExceedCertificate(red, blue, threshold)
+    if not cert.total > threshold:
+        return None
+    cert.check(g)
+    return cert
+
+
+# -- prescribed edge loads -----------------------------------------------
+
+
+def solve_loads(
+    triangles: list[Triangle],
+    demand: dict[Edge, Fraction],
+    capacity: dict[Edge, Fraction],
+):
+    """Red triangle weights that load every demand edge exactly to its demand
+    and every capacity edge at most to its capacity.
+
+    Returns (packing, None), or (None, farkas) when no such weights exist:
+    farkas maps the demand and capacity edges to rationals, is >= 0 on
+    capacity edges, has sum_{e in T} y_e >= 0 for every triangle T and
+    sum_e y_e * rhs_e < 0.  Each capacity row gets its own slack column.
+    """
+    d_edges = sorted(demand)
+    c_edges = sorted(capacity)
+    rows = incidence_rows(triangles, d_edges + c_edges)
+    for r, row in enumerate(rows):
+        # capacity row k gets slack column k; demand rows get none
+        k = r - len(d_edges)
+        row.extend(ONE if i == k else ZERO for i in range(len(c_edges)))
+    rhs = [demand[e] for e in d_edges] + [capacity[e] for e in c_edges]
+    x, y = solve_eq_nonneg(rows, rhs)
+    if x is None:
+        return None, dict(zip(d_edges + c_edges, y))
+    packing = FractionalPacking(
+        RED, {t: x[col] for col, t in enumerate(triangles) if x[col] > 0}
+    )
+    return packing, None
 
 
 # -- fractional decompositions -------------------------------------------
@@ -291,13 +329,7 @@ def frac_decomposition(n: int, edges):
         # an edge in no triangle can never reach weight 1
         farkas = {e: Fraction(-1) if e == uncovered[0] else ZERO for e in es}
         return None, farkas
-    x, y = solve_eq_nonneg(incidence_rows(triangles, es), [ONE] * len(es))
-    if x is not None:
-        packing = FractionalPacking(
-            RED, {t: x[col] for col, t in enumerate(triangles) if x[col] > 0}
-        )
-        return packing, None
-    return None, dict(zip(es, y))
+    return solve_loads(triangles, dict.fromkeys(es, ONE), {})
 
 
 def prescribed_packing(n: int, demand: dict[Edge, Fraction]):
@@ -316,13 +348,7 @@ def prescribed_packing(n: int, demand: dict[Edge, Fraction]):
         return FractionalPacking(RED, {}), None
     # a triangle through a zero-demand edge can carry no weight
     triangles = ColoredGraph.from_red_edges(n, es).monochromatic_triangles(RED)
-    x, y = solve_eq_nonneg(incidence_rows(triangles, es), [demand[e] for e in es])
-    if x is not None:
-        packing = FractionalPacking(
-            RED, {t: x[col] for col, t in enumerate(triangles) if x[col] > 0}
-        )
-        return packing, None
-    return None, dict(zip(es, y))
+    return solve_loads(triangles, {e: demand[e] for e in es}, {})
 
 
 # -- exact integral packing oracle ---------------------------------------

@@ -65,9 +65,6 @@ class SearchNode:
     f_r: FractionalPacking
     f_b: FractionalPacking
 
-    def total(self) -> Fraction:
-        return self.f_r.edge_weight_total() + self.f_b.edge_weight_total()
-
 
 @dataclass
 class LevelStats:

@@ -1,14 +1,15 @@
 """Exact rational simplex over `fractions.Fraction`.
 
-Two entry points, both certificate-producing:
+One tableau and two entry points, both certificate-producing:
 
 * `simplex_max_leq` solves  max c^T x  s.t.  A x <= b, x >= 0  (b >= 0) and
   returns the optimal primal vertex together with the optimal dual vector,
   whose objective values agree exactly (strong duality read off the final
   tableau).
-* `solve_eq_nonneg` decides feasibility of  A x = b, x >= 0  by a phase-1
-  simplex with artificial variables; on infeasibility it returns a Farkas
-  vector y with y^T A_j >= 0 for every column j and y^T b < 0.
+* `solve_eq_nonneg` decides feasibility of  A x = b, x >= 0.  It builds no
+  tableau of its own: its phase 1 is a maximisation solved by
+  `simplex_max_leq`, and on infeasibility the Farkas vector y (y^T A_j >= 0
+  for every column j, y^T b < 0) is read from that solve's duals.
 
 Anti-cycling: entering columns are scanned in index order and the leaving
 row breaks ties by smallest basis index, i.e. Bland's rule, which
@@ -113,52 +114,18 @@ def solve_eq_nonneg(a_rows: list[list[Fraction]], b: list[Fraction]):
 
     Returns (x, None) with an exact feasible solution, or (None, y) with a
     Farkas certificate: y^T A_j >= 0 for every column j and y^T b < 0.
+
+    Phase 1 as a maximisation: with the rows signed so that b' >= 0, maximise
+    the column sums of A' over A' x <= b', x >= 0.  The optimum is sum(b')
+    exactly when the slacks can all leave, i.e. when the system is feasible;
+    otherwise the optimal duals less one, with each row's sign restored, are
+    the Farkas vector (y^T b = optimum - sum(b') < 0).
     """
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
-    rows = []
-    rhs = []
-    for i in range(m):
-        row = [Fraction(v) for v in a_rows[i]]
-        bi = Fraction(b[i])
-        if bi < 0:
-            row = [-v for v in row]
-            bi = -bi
-        rows.append(row)
-        rhs.append(bi)
-
-    # phase 1: max -(sum of artificials)
-    tab = []
-    for i in range(m):
-        row = rows[i] + [ONE if k == i else ZERO for k in range(m)]
-        row.append(rhs[i])
-        tab.append(row)
-    # objective row for c = (0,...,0, -1,...,-1), expressed against the
-    # artificial starting basis: obj_j = c_j - z_j with z_j = sum of column j
-    obj = [sum(rows[i][j] for i in range(m)) for j in range(n)]
-    obj += [ZERO] * m
-    obj.append(sum(rhs))
-    tab.append(obj)
-    basis = [n + i for i in range(m)]
-
-    _run(tab, basis)
-
-    obj = tab[-1]
-    # the stored rhs of the objective row is -(phase-1 optimum)
-    if obj[-1] == 0:
-        x = [ZERO] * n
-        for r, bv in enumerate(basis):
-            if bv < n:
-                x[bv] = tab[r][-1]
+    signs = [-1 if Fraction(bi) < 0 else 1 for bi in b]
+    rows = [[s * Fraction(v) for v in row] for s, row in zip(signs, a_rows)]
+    rhs = [s * Fraction(bi) for s, bi in zip(signs, b)]
+    c = [sum(col, ZERO) for col in zip(*rows)]
+    x, y, value = simplex_max_leq(rows, rhs, c)
+    if value == sum(rhs, ZERO):
         return x, None
-    # infeasible: read the dual from the artificial columns.  For artificial
-    # i, obj[n+i] = c_i - y_i = -1 - y_i  =>  y_i = -1 - obj[n+i]; flip back
-    # the sign of rows that were negated.  Optimality of phase 1 gives
-    # y^T A_j >= 0 for every column and y^T b = (phase-1 optimum) < 0.
-    y = []
-    for i in range(m):
-        yi = -ONE - obj[n + i]
-        if Fraction(b[i]) < 0:
-            yi = -yi
-        y.append(yi)
-    return None, y
+    return None, [s * (yi - ONE) for s, yi in zip(signs, y)]

@@ -14,6 +14,7 @@ from monopack.lp import (
     pack,
     prescribed_packing,
     rationalize,
+    solve_loads,
     triangle_edges,
 )
 from monopack.structure import bip_distance_at_most
@@ -28,7 +29,7 @@ def random_graph(rng, n):
 def test_nu_star_k4_all_red():
     g = ColoredGraph.monochromatic(4)
     res = nu_star(g, RED)
-    assert res.optimal and res.primal_value == 2
+    assert res.primal_value == res.dual_value == 2
     # the optimum is the uniform vertex: every triangle at weight 1/2
     res.packing.check_feasible(g)
     res.cover.check_feasible(g)
@@ -149,6 +150,37 @@ def test_prescribed_packing_roundtrip():
     # an isolated demanded edge is unreachable
     packing, farkas = prescribed_packing(4, {(0, 1): F(1, 2)})
     assert packing is None
+    # every demanded edge lies in the triangle 012, but its loads differ
+    demand = {(0, 1): F(1), (0, 2): F(1), (1, 2): F(1, 2)}
+    packing, farkas = prescribed_packing(4, demand)
+    assert packing is None
+    assert_farkas(farkas, [(0, 1, 2)], demand, {})
+
+
+def assert_farkas(farkas, triangles, demand, capacity):
+    """`farkas` proves that no weights on `triangles` meet the demands and
+    capacities."""
+    assert set(farkas) == set(demand) | set(capacity)
+    assert all(farkas[e] >= 0 for e in capacity)
+    for t in triangles:
+        assert sum(farkas[e] for e in triangle_edges(t)) >= 0
+    rhs = {**demand, **capacity}
+    assert sum(y * rhs[e] for e, y in farkas.items()) < 0
+
+
+def test_solve_loads_with_capacities():
+    triangles = list(combinations(range(4), 3))
+    demand = {(0, 1): F(1)}
+    others = [e for e in combinations(range(4), 2) if e != (0, 1)]
+    # (0, 1) is in two triangles, each through a capacity edge at (0, 2) or (0, 3)
+    capacity = {e: F(1, 4) for e in others}
+    packing, farkas = solve_loads(triangles, demand, capacity)
+    assert packing is None
+    assert_farkas(farkas, triangles, demand, capacity)
+    capacity = {e: F(1, 2) for e in others}
+    packing, farkas = solve_loads(triangles, demand, capacity)
+    assert farkas is None
+    assert packing.weights == {(0, 1, 2): F(1, 2), (0, 1, 3): F(1, 2)}
 
 
 def test_integer_nu_oracle_values():
