@@ -19,6 +19,7 @@ total edge weight of a colouring (the quantity thresholded by the search) is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -113,10 +114,13 @@ class FractionalCover:
         for e, y in self.edge_weights.items():
             if y < 0:
                 raise ValueError(f"edge {e} has negative cover weight {y}")
+        # compare in integers: every weight scaled by one common denominator
+        d = math.lcm(*(y.denominator for y in self.edge_weights.values()))
+        scaled = {e: y.numerator * (d // y.denominator) for e, y in self.edge_weights.items()}
         for t in g.monochromatic_triangles(self.color):
-            s = sum((self.edge_weights.get(e, ZERO) for e in triangle_edges(t)), ZERO)
-            if s < 1:
-                raise ValueError(f"triangle {t} is not covered: {s} < 1")
+            s = sum(scaled.get(e, 0) for e in triangle_edges(t))
+            if s < d:
+                raise ValueError(f"triangle {t} is not covered: {Fraction(s, d)} < 1")
 
 
 @dataclass(frozen=True)

@@ -2,27 +2,32 @@
 
 Starting from a seed list of complete colourings on n vertices, each level
 attaches one new vertex and exposes its edges one at a time, branching on
-the two colours.  After every exposure the maximum packing of the changed
-colour class is solved afresh; the untouched colour's packing is reused as
-is.  A branch is cut only when an exact rational certificate shows that the
-assigned part's total packing weight already exceeds the level threshold, so
-no colouring within the threshold is ever lost.  Completed colourings are deduplicated by canonical form and
-optionally removed by structural filters (pentagon blow-up distance or
-closeness of a colour class to bipartite).
+the two colours.  Every node carries, per colour, a feasible packing and a
+feasible cover of the assigned part, so lo <= nu* <= hi.  An exposure grows
+only the changed colour's pair, exactly and without an LP: the new triangles
+all contain the new edge, so the packing is augmented greedily on them and
+the cover raises the new edge's weight until they are covered.  An LP is
+solved only when the bounds leave the threshold undecided.  A branch is cut
+only when an exact rational certificate shows that the assigned part's total
+packing weight already exceeds the level threshold, so no colouring within
+the threshold is ever lost.  Completed colourings are deduplicated by
+canonical form and optionally removed by structural filters (pentagon
+blow-up distance or closeness of a colour class to bipartite).
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable
 
 from . import certs
 from .canonical import canonical_key
-from .graph import BLUE, RED, UNASSIGNED, ColoredGraph
-from .lp import FractionalPacking, certified_exceeds, nu_star
+from .graph import BLUE, RED, UNASSIGNED, ColoredGraph, Edge
+from .lp import FractionalCover, FractionalPacking, certified_exceeds, nu_star
+from .simplex import ONE, ZERO
 from .structure import bip_distance_at_most, pentagon_distance
 
 CHECKPOINT_FORMAT = "monopack-checkpoint"
@@ -57,13 +62,80 @@ class SearchConfig:
 
 
 @dataclass(frozen=True)
+class Bounds:
+    """lo <= nu* <= hi for one colour class of a node's assigned part.
+
+    lo is the value of a feasible packing and hi that of a feasible cover;
+    both are kept alongside them, as are the packing's edge loads.
+    """
+
+    packing: FractionalPacking
+    cover: FractionalCover
+    lo: Fraction
+    hi: Fraction
+    loads: dict[Edge, Fraction]
+
+    @classmethod
+    def exact(cls, g: ColoredGraph, color: str) -> Bounds:
+        res = nu_star(g, color)
+        return cls(
+            res.packing, res.cover, res.primal_value, res.dual_value,
+            res.packing.edge_loads(),
+        )
+
+    def grow(self, g: ColoredGraph, v: int) -> Bounds:
+        """The bounds once edge (v, newest) of g has this colour.
+
+        The new triangles are v w u for each w joined to v and to the newest
+        vertex u in this colour.  In w order, each gets the largest weight
+        its three edges still admit; the cover gives (v, u) the weight the
+        least-covered of them lacks.
+        """
+        color = self.packing.color
+        u = g.n - 1
+        pairs = [
+            ((min(v, w), max(v, w)), (w, u))
+            for w in range(u)
+            if w != v and g.color_of(v, w) == color == g.color_of(w, u)
+        ]
+        if not pairs:
+            return self
+        vu = (v, u)
+        weights = dict(self.packing.weights)
+        loads = dict(self.loads)
+        lo = self.lo
+        for vw, wu in pairs:
+            r = ONE - max(loads.get(vw, ZERO), loads.get(wu, ZERO), loads.get(vu, ZERO))
+            if r > 0:
+                weights[(*vw, u)] = r
+                for e in (vw, wu, vu):
+                    loads[e] = loads.get(e, ZERO) + r
+                lo += r
+        y = self.cover.edge_weights
+        lack = ONE - min(y.get(vw, ZERO) + y.get(wu, ZERO) for vw, wu in pairs)
+        cover, hi = self.cover, self.hi
+        if lack > 0:
+            cover = FractionalCover(color, {**y, vu: lack})
+            hi += lack
+        return Bounds(FractionalPacking(color, weights), cover, lo, hi, loads)
+
+
+@dataclass(frozen=True)
 class SearchNode:
     """A partial colouring (unassigned edges only at the newest vertex) with
-    maximum packings of the assigned part."""
+    certified bounds on both colours' packings of the assigned part."""
 
     graph: ColoredGraph
-    f_r: FractionalPacking
-    f_b: FractionalPacking
+    red: Bounds
+    blue: Bounds
+
+    def straddles(self, threshold: Fraction) -> bool:
+        """Whether the bounds leave pack <= threshold undecided."""
+        return (
+            3 * (self.red.lo + self.blue.lo)
+            <= threshold
+            < 3 * (self.red.hi + self.blue.hi)
+        )
 
 
 @dataclass
@@ -73,6 +145,7 @@ class LevelStats:
     filtered: int = 0
     completed: int = 0
     duplicates: int = 0
+    lp_solves: int = 0  # nu_star solves by settle and for new survivors
 
 
 @dataclass
@@ -84,7 +157,8 @@ class SearchReport:
 
 
 def solve_node(g: ColoredGraph) -> SearchNode:
-    return SearchNode(g, nu_star(g, RED).packing, nu_star(g, BLUE).packing)
+    """g with both colours solved exactly (two LPs)."""
+    return SearchNode(g, Bounds.exact(g, RED), Bounds.exact(g, BLUE))
 
 
 def choose_next_vertex(node: SearchNode) -> int:
@@ -112,19 +186,44 @@ def choose_next_vertex(node: SearchNode) -> int:
 
 
 def expose(node: SearchNode, v: int) -> tuple[SearchNode, SearchNode]:
-    """Colour the edge (v, newest) both ways; re-solve only the changed colour."""
+    """Colour the edge (v, newest) both ways; grow only the changed colour's
+    bounds, without an LP."""
     g = node.graph
     u = g.n - 1
     red_g = g.set_edge(v, u, RED)
     blue_g = g.set_edge(v, u, BLUE)
-    red_child = SearchNode(red_g, nu_star(red_g, RED).packing, node.f_b)
-    blue_child = SearchNode(blue_g, node.f_r, nu_star(blue_g, BLUE).packing)
+    red_child = SearchNode(red_g, node.red.grow(red_g, v), node.blue)
+    blue_child = SearchNode(blue_g, node.red, node.blue.grow(blue_g, v))
     return red_child, blue_child
 
 
+def settle(node: SearchNode, threshold: Fraction) -> tuple[SearchNode, int]:
+    """The node with bounds that decide pack <= threshold, and the number of
+    LPs solved to get them.
+
+    While the bounds straddle the threshold, the colour with the wider gap
+    is solved exactly; with both colours exact they cannot straddle, so at
+    most two LPs are solved.
+    """
+    solves = 0
+    while node.straddles(threshold):
+        if node.red.hi - node.red.lo >= node.blue.hi - node.blue.lo:
+            node = replace(node, red=Bounds.exact(node.graph, RED))
+        else:
+            node = replace(node, blue=Bounds.exact(node.graph, BLUE))
+        solves += 1
+    return node, solves
+
+
 def prune(node: SearchNode, threshold: Fraction):
-    """An exceed certificate if the node can be cut, else None; exact only."""
-    return certified_exceeds(node.graph, threshold, red=node.f_r, blue=node.f_b)
+    """An exceed certificate if the node's packings beat the threshold, else
+    None; exact only.  On a settled node this cuts exactly when pack of the
+    assigned part exceeds the threshold."""
+    if 3 * (node.red.lo + node.blue.lo) <= threshold:
+        return None
+    return certified_exceeds(
+        node.graph, threshold, red=node.red.packing, blue=node.blue.packing
+    )
 
 
 def classify_complete(g: ColoredGraph, level_filter):
@@ -199,7 +298,8 @@ def run_search(
         level_filter = cfg.filters.get(level + 1)
         survivors: dict[str, SearchNode] = {}
         for parent in frontier:
-            root = SearchNode(parent.graph.add_vertex(), parent.f_r, parent.f_b)
+            # frontier bounds are exact, and the new vertex closes no triangle
+            root = replace(parent, graph=parent.graph.add_vertex())
             if prune(root, threshold) is not None:
                 stats.pruned += 1
                 continue
@@ -216,10 +316,13 @@ def run_search(
                     if key.key in survivors:
                         stats.duplicates += 1
                     else:
-                        survivors[key.key] = node
+                        survivors[key.key] = solve_node(node.graph)
+                        stats.lp_solves += 2
                     continue
                 v = choose_next_vertex(node)
                 for child in expose(node, v):
+                    child, solves = settle(child, threshold)
+                    stats.lp_solves += solves
                     if prune(child, threshold) is not None:
                         stats.pruned += 1
                     else:
@@ -245,7 +348,9 @@ def checkpoint(state: SearchState, path: str) -> None:
         "frontier": [
             {
                 "graph": node.graph.serialize(),
-                "packcert": certs.format_packcert(node.graph, node.f_r, node.f_b),
+                "packcert": certs.format_packcert(
+                    node.graph, node.red.packing, node.blue.packing
+                ),
             }
             for node in state.frontier
         ],
@@ -276,7 +381,7 @@ def resume(path: str) -> SearchState:
         g, red, blue, _ = certs.parse_packcert(item["packcert"])
         red.check_feasible(g)
         blue.check_feasible(g)
-        frontier.append(SearchNode(g, red, blue))
+        frontier.append(solve_node(g))
     report = SearchReport(
         {
             int(n): LevelStats(**stats)

@@ -13,7 +13,7 @@ from monopack.certs import (
 )
 from monopack.constructions import BlobSpec, pentagon_blowup
 from monopack.graph import BLUE, RED, ColoredGraph
-from monopack.lp import nu_star, pack
+from monopack.lp import FractionalCover, nu_star, pack
 
 F = Fraction
 
@@ -169,3 +169,16 @@ def test_negative_cover_weight_rejected():
     )
     ok, msg = verify_covercert(text)
     assert not ok and "negative" in msg
+
+
+def test_cover_check_compares_over_common_denominator():
+    g = ColoredGraph(3, "RRR")
+    exact = {(0, 1): F(1, 2), (0, 2): F(1, 3), (1, 2): F(1, 6)}
+    short = {**exact, (1, 2): F(1, 7)}
+    FractionalCover(RED, exact).check_feasible(g)
+    ok, msg = verify_covercert(format_covercert(g, FractionalCover(RED, exact)))
+    assert ok, msg
+    with pytest.raises(ValueError, match="not covered"):
+        FractionalCover(RED, short).check_feasible(g)
+    ok, msg = verify_covercert(format_covercert(g, FractionalCover(RED, short)))
+    assert not ok and "not covered: 41/42 < 1" in msg

@@ -151,6 +151,9 @@ def test_search_cli(tmp_path, capsys):
     records = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
     survivors = [r for r in records if "survivor" in r]
     assert survivors and all(r["n"] == 5 for r in survivors)
+    levels = [r for r in records if "level" in r]
+    assert [r["level"] for r in levels] == [4, 5]
+    assert all(r["lp_solves"] > 0 for r in levels)
     assert len(os.listdir(certdir)) == len(survivors)
     # resume from the checkpoint and continue one more level
     assert main(["search", "--resume", ckpt, "--n-end", "6"]) == 0

@@ -1,16 +1,19 @@
 import itertools
 import json
 import os
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from monopack import search as search_mod
 from monopack.canonical import canonical_key
 from monopack.constructions import BlobSpec, flipped_blowup, pentagon_blowup
-from monopack.graph import BLUE, RED, ColoredGraph
-from monopack.lp import pack
+from monopack.graph import BLUE, RED, UNASSIGNED, ColoredGraph
+from monopack.lp import FractionalCover, FractionalPacking, nu_star, pack, triangle_edges
 from monopack.search import (
     BipartiteFilter,
+    Bounds,
     PentagonFilter,
     SearchConfig,
     classify_complete,
@@ -19,6 +22,7 @@ from monopack.search import (
     prune,
     resume,
     run_search,
+    settle,
     solve_node,
     checkpoint,
     SearchState,
@@ -96,14 +100,88 @@ def test_prune_is_sound():
     assert prune(node, F(10)) is None
 
 
-def test_expose_warm_equals_cold():
-    g = ColoredGraph(4, "RRBRBB").add_vertex()
-    node = solve_node(g.set_edge(0, 4, RED).set_edge(1, 4, BLUE))
-    red_child, blue_child = expose(node, 2)
-    for child in (red_child, blue_child):
-        cold = solve_node(child.graph)
-        assert child.f_r.value() == cold.f_r.value()
-        assert child.f_b.value() == cold.f_b.value()
+def exposed_nodes(node):
+    """node and every node reached from it by expose alone, in any order."""
+    yield node
+    u = node.graph.n - 1
+    for v in range(u):
+        if node.graph.color_of(v, u) == UNASSIGNED:
+            for child in expose(node, v):
+                yield from exposed_nodes(child)
+
+
+def test_bounds_bracket_the_cold_optimum():
+    root = solve_node(ColoredGraph(4, "RRBRBB").add_vertex())
+    values = {}
+    loosest = {}  # per colouring, the reached node with the widest bounds
+    for node in exposed_nodes(root):
+        g = node.graph
+        if g.colors not in values:
+            values[g.colors] = {c: nu_star(g, c).primal_value for c in (RED, BLUE)}
+        for color, b in ((RED, node.red), (BLUE, node.blue)):
+            b.packing.check_feasible(g)
+            b.cover.check_feasible(g)
+            assert b.packing.color == b.cover.color == color
+            assert b.lo == b.packing.value()
+            assert b.hi == b.cover.value()
+            assert b.loads == b.packing.edge_loads()
+            assert b.lo <= values[g.colors][color] <= b.hi
+        gap = node.red.hi - node.red.lo + node.blue.hi - node.blue.lo
+        if g.colors not in loosest or gap > loosest[g.colors][0]:
+            loosest[g.colors] = (gap, node)
+    assert len(values) == 81  # every partial colouring of the four new edges
+    assert any(gap > 0 for gap, _ in loosest.values())
+    most_solves = 0
+    for colors, (_, node) in loosest.items():
+        pack_value = 3 * (values[colors][RED] + values[colors][BLUE])
+        for twice_t in range(0, 21):
+            t = F(twice_t, 2)
+            settled, solves = settle(node, t)
+            assert solves <= 2 and not settled.straddles(t)
+            assert (prune(settled, t) is not None) == (pack_value > t)
+        # from trivial bounds (no packing, every edge covered) both colours
+        # may need their LP
+        g = node.graph
+        trivial = replace(node, red=trivial_bounds(g, RED), blue=trivial_bounds(g, BLUE))
+        for t in (pack_value - 1, pack_value):
+            settled, solves = settle(trivial, t)
+            assert solves <= 2 and not settled.straddles(t)
+            assert (prune(settled, t) is not None) == (pack_value > t)
+            most_solves = max(most_solves, solves)
+    assert most_solves == 2
+
+
+def trivial_bounds(g, color):
+    edges = {e for t in g.monochromatic_triangles(color) for e in triangle_edges(t)}
+    cover = FractionalCover(color, dict.fromkeys(edges, F(1)))
+    return Bounds(FractionalPacking(color), cover, F(0), F(len(edges)), {})
+
+
+def test_empty_seed_search_decisions():
+    # the counts of the search that solved an LP for every child: bounds
+    # may save LPs but must not change a single decision
+    _, report = run_search([ColoredGraph.empty()], SearchConfig(n_end=6))
+    levels = range(1, 7)
+    assert [report.at(n).pruned for n in levels] == [0, 0, 1, 0, 23, 40]
+    assert [report.at(n).completed for n in levels] == [1, 2, 3, 8, 42, 142]
+    assert [report.at(n).duplicates for n in levels] == [0, 1, 2, 3, 36, 112]
+    assert [report.at(n).survivors for n in levels] == [1, 1, 1, 5, 6, 30]
+
+
+def test_lp_solves_counts_every_search_lp(monkeypatch):
+    calls = []
+
+    def counted(g, color):
+        calls.append(g)
+        return nu_star(g, color)
+
+    monkeypatch.setattr(search_mod, "nu_star", counted)
+    seeds = [ColoredGraph(3, "RRB")]
+    _, report = run_search(seeds, SearchConfig(n_end=6))
+    solves = [report.at(n).lp_solves for n in (4, 5, 6)]
+    assert all(k > 0 for k in solves)
+    # two more for the seed's own solve_node
+    assert len(calls) == sum(solves) + 2 * len(seeds)
 
 
 def test_seed_validation():
@@ -184,6 +262,23 @@ def test_failed_checkpoint_keeps_previous_snapshot(tmp_path, monkeypatch):
     again = resume(path)
     assert again.level == 4
     assert [n.graph for n in again.frontier] == [n.graph for n in state.frontier]
+
+
+def test_resume_loads_report_without_lp_solves(tmp_path):
+    path = os.path.join(tmp_path, "ckpt.json")
+    run_search([ColoredGraph(3, "RRB")], SearchConfig(n_end=4), checkpoint_path=path)
+    with open(path) as fh:
+        payload = json.load(fh)
+    assert payload["report"]["4"]["lp_solves"] > 0
+    payload["report"] = {
+        "4": {"survivors": 2, "pruned": 1, "filtered": 0, "completed": 5, "duplicates": 3}
+    }
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    state = resume(path)
+    assert state.report.at(4).lp_solves == 0
+    assert state.report.at(4).completed == 5
+    assert all(n.red.lo == n.red.hi and n.blue.lo == n.blue.hi for n in state.frontier)
 
 
 def test_resume_continues_equivalently(tmp_path):
