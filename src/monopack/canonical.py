@@ -7,9 +7,20 @@ iterated colour-degree class; the canonical ordering minimises the resulting
 sequence lexicographically.  Pruning: (a) only candidates achieving the
 minimal next step are expanded, (b) branches that compare worse than the
 best sequence found so far are cut, and (c) automorphisms discovered when
-two orderings tie are used to skip equivalent candidates.  Colour swap, when
-admitted, is handled by canonicalising both the graph and its swap and
-keeping the smaller key.
+two orderings tie are used to skip equivalent candidates: at each node, the
+candidates are merged into orbits under the automorphisms found so far that
+fix every placed vertex, and only the least member of each orbit is
+expanded.  Colour swap, when admitted, is handled by canonicalising both the
+graph and its swap and keeping the smaller key.
+
+Each node costs O(n) plus the automorphisms found since its parent looked.
+The colour rows are built once per search; every unplaced vertex carries its
+step string down the search, and placing v appends one character to each.
+Every automorphism is stored with its set of moved points.  A child takes
+its parent's list of prefix-fixing automorphisms, keeps those that fix v,
+and tests only automorphisms found since by `isdisjoint` with the prefix
+(McKay & Piperno, "Practical graph isomorphism, II", J. Symbolic Comput. 60
+(2014)).
 """
 
 from __future__ import annotations
@@ -47,22 +58,36 @@ def relabel(g: ColoredGraph, order: list[int]) -> ColoredGraph:
     return ColoredGraph(n, "".join(chars))
 
 
+def _color_rows(g: ColoredGraph) -> list[str]:
+    """rows[v][u] is the colour of edge vu; the diagonal holds '-'."""
+    n = g.n
+    rows = [["-"] * n for _ in range(n)]
+    idx = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = g.colors[idx]
+            idx += 1
+    return ["".join(row) for row in rows]
+
+
 def refinement_classes(g: ColoredGraph) -> list[int]:
     """Stable colour-degree classes; ids ordered by class signature."""
-    n = g.n
-    cls = [0] * n
+    return _refine(_color_rows(g))
+
+
+def _refine(rows: list[str]) -> list[int]:
+    cls = [0] * len(rows)
     while True:
         sigs = []
-        for v in range(n):
+        for v, row in enumerate(rows):
             counts: dict[tuple[int, str], int] = {}
-            for u in range(n):
-                if u == v:
-                    continue
-                key = (cls[u], g.color_of(v, u))
-                counts[key] = counts.get(key, 0) + 1
+            for u, c in enumerate(row):
+                if u != v:
+                    key = (cls[u], c)
+                    counts[key] = counts.get(key, 0) + 1
             sigs.append((cls[v], tuple(sorted(counts.items()))))
-        order = sorted(set(sigs))
-        new_cls = [order.index(s) for s in sigs]
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new_cls = [rank[s] for s in sigs]
         if new_cls == cls:
             return cls
         cls = new_cls
@@ -74,18 +99,22 @@ def twin_classes(g: ColoredGraph) -> list[int]:
     Swapping two twins is an automorphism, so only one member of a class ever
     needs to be tried at any point of the canonical search.
     """
-    n = g.n
-    rep = list(range(n))
-    for v in range(n):
+    return _twins(_color_rows(g))
+
+
+def _twins(rows: list[str]) -> list[int]:
+    rep = list(range(len(rows)))
+    for v, rv in enumerate(rows):
         if rep[v] != v:
             continue
         for u in range(v):
-            if rep[u] != u:
-                continue
-            if all(
-                g.color_of(u, w) == g.color_of(v, w)
-                for w in range(n)
-                if w != u and w != v
+            ru = rows[u]
+            # equal rows apart from positions u < v
+            if (
+                rep[u] == u
+                and ru[:u] == rv[:u]
+                and ru[u + 1 : v] == rv[u + 1 : v]
+                and ru[v + 1 :] == rv[v + 1 :]
             ):
                 rep[v] = u
                 break
@@ -94,21 +123,35 @@ def twin_classes(g: ColoredGraph) -> list[int]:
 
 class _Search:
     def __init__(self, g: ColoredGraph):
-        self.g = g
         self.n = g.n
-        self.cls = refinement_classes(g)
-        self.twin = twin_classes(g)
+        self.rows = _color_rows(g)
+        self.cls = _refine(self.rows)
+        self.twin = _twins(self.rows)
         self.best_seq: list[tuple[str, int]] | None = None
         self.best_order: list[int] | None = None
-        self.autos: list[tuple[int, ...]] = []
+        # automorphisms found so far, each with its set of moved points
+        self.autos: list[tuple[tuple[int, ...], frozenset[int]]] = []
 
     def run(self) -> list[int]:
-        self._dfs([], [])
+        self._dfs([], [], {v: ("", c) for v, c in enumerate(self.cls)}, [], 0)
         assert self.best_order is not None
         return self.best_order
 
-    def _dfs(self, order: list[int], seq: list[tuple[str, int]]) -> None:
-        g, n = self.g, self.n
+    def _dfs(
+        self,
+        order: list[int],
+        seq: list[tuple[str, int]],
+        steps: dict[int, tuple[str, int]],
+        fixing: list[tuple[tuple[int, ...], frozenset[int]]],
+        seen: int,
+    ) -> None:
+        """Expand the node whose placed vertices are `order`.
+
+        steps[v] is the step unplaced vertex v would append: its colours to
+        `order` and its refinement class.  `fixing` holds the automorphisms
+        among autos[:seen] that fix every vertex of `order`.
+        """
+        n = self.n
         k = len(order)
         if k == n:
             if self.best_seq is None or seq < self.best_seq:
@@ -118,54 +161,53 @@ class _Search:
                 auto = [0] * n
                 for a, b in zip(self.best_order, order):
                     auto[a] = b
-                self.autos.append(tuple(auto))
+                moved = frozenset(v for v in range(n) if auto[v] != v)
+                self.autos.append((tuple(auto), moved))
             return
-        placed = set(order)
-        cands = [v for v in range(n) if v not in placed]
-        steps = {
-            v: ("".join(g.color_of(v, u) for u in order), self.cls[v]) for v in cands
-        }
         mk = min(steps.values())
-        cands = [v for v in cands if steps[v] == mk]
         # unplaced twins are interchangeable: keep one candidate per twin class
         seen_twin: set[int] = set()
-        kept = []
-        for v in cands:
+        cands = []
+        for v, step in steps.items():
             t = self.twin[v]
-            if t not in seen_twin:
+            if step == mk and t not in seen_twin:
                 seen_twin.add(t)
-                kept.append(v)
-        cands = kept
+                cands.append(v)
         if self.best_seq is not None:
             prefix = self.best_seq[: k + 1]
             cand = seq + [mk]
             if cand > prefix:
                 return
-        for v in self._orbit_reps(cands, order):
-            self._dfs(order + [v], seq + [mk])
+        if seen < len(self.autos):
+            # automorphisms found since the parent looked
+            fixing = fixing + [a for a in self.autos[seen:] if a[1].isdisjoint(order)]
+            seen = len(self.autos)
+        reps = _orbit_reps(cands, fixing) if fixing else cands
+        for v in reps:
+            row = self.rows[v]
+            child = {u: (s + row[u], c) for u, (s, c) in steps.items() if u != v}
+            kept = [a for a in fixing if a[0][v] == v]
+            self._dfs(order + [v], seq + [mk], child, kept, seen)
 
-    def _orbit_reps(self, cands: list[int], order: list[int]) -> list[int]:
-        if not self.autos:
-            return cands
-        fixing = [a for a in self.autos if all(a[u] == u for u in order)]
-        if not fixing:
-            return cands
-        parent = {v: v for v in cands}
 
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
+def _orbit_reps(cands: list[int], fixing) -> list[int]:
+    """Least member of each orbit of `cands` under the automorphisms `fixing`."""
+    parent = {v: v for v in cands}
 
-        for a in fixing:
-            for v in cands:
-                w = a[v]
-                if w in parent:
-                    ra, rb = find(v), find(w)
-                    if ra != rb:
-                        parent[max(ra, rb)] = min(ra, rb)
-        return sorted({find(v) for v in cands})
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for a, _ in fixing:
+        for v in cands:
+            w = a[v]
+            if w in parent:
+                ra, rb = find(v), find(w)
+                if ra != rb:
+                    parent[max(ra, rb)] = min(ra, rb)
+    return sorted({find(v) for v in cands})
 
 
 def _canonical_order(g: ColoredGraph) -> list[int]:

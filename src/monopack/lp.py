@@ -111,13 +111,18 @@ class FractionalCover:
         return sum(self.edge_weights.values(), ZERO)
 
     def check_feasible(self, g: ColoredGraph) -> None:
+        """Raise ValueError unless this covers every triangle of g's colour class."""
+        self.check_covers(g.monochromatic_triangles(self.color))
+
+    def check_covers(self, triangles: list[Triangle]) -> None:
+        """Raise ValueError unless the weights are >= 0 and load each triangle >= 1."""
         for e, y in self.edge_weights.items():
             if y < 0:
                 raise ValueError(f"edge {e} has negative cover weight {y}")
         # compare in integers: every weight scaled by one common denominator
         d = math.lcm(*(y.denominator for y in self.edge_weights.values()))
         scaled = {e: y.numerator * (d // y.denominator) for e, y in self.edge_weights.items()}
-        for t in g.monochromatic_triangles(self.color):
+        for t in triangles:
             s = sum(scaled.get(e, 0) for e in triangle_edges(t))
             if s < d:
                 raise ValueError(f"triangle {t} is not covered: {Fraction(s, d)} < 1")
@@ -167,6 +172,8 @@ def rationalize(
     `xs` weights `triangles` and `duals` weights `edges`.  Both are snapped
     to nearby fractions; the result is accepted only if the primal and dual
     values agree exactly and both certificates pass their feasibility checks.
+    `triangles` must be all of g's `color` triangles: the cover is checked
+    against that list.
     """
     packing = FractionalPacking(color, _snap(triangles, xs))
     cover = FractionalCover(color, _snap(edges, duals))
@@ -174,7 +181,7 @@ def rationalize(
         return None
     try:
         packing.check_feasible(g)
-        cover.check_feasible(g)
+        cover.check_covers(triangles)
     except ValueError:
         return None
     return SolveResult(packing, cover)

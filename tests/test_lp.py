@@ -105,6 +105,38 @@ def test_float_solution_failing_checks_falls_back_to_exact(monkeypatch):
     assert optimal.packing.weights == {t: F(1, 2) for t in tris}
 
 
+def test_float_path_checks_cover_against_the_solved_triangles(monkeypatch):
+    g = ColoredGraph.monochromatic(4)
+    tris = g.monochromatic_triangles(RED)
+    edges = sorted({e for t in tris for e in triangle_edges(t)})
+    # packing 1/2 on 012 and 013 and cover 1 on 01 both total 1, but the
+    # cover leaves 023 and 123 uncovered
+    xs = [0.5 if t in ((0, 1, 2), (0, 1, 3)) else 0.0 for t in tris]
+    duals = [1.0 if e == (0, 1) else 0.0 for e in edges]
+    assert rationalize(xs, duals, tris, edges, g, RED) is None
+    with pytest.raises(ValueError, match="not covered"):
+        lp.FractionalCover(RED, {(0, 1): F(1)}).check_covers(tris)
+    # the float path enumerates g's triangles once per solve
+    calls = []
+    real_triangles = ColoredGraph.monochromatic_triangles
+
+    def triangles(self, color):
+        calls.append(color)
+        return real_triangles(self, color)
+
+    monkeypatch.setattr(ColoredGraph, "monochromatic_triangles", triangles)
+    rng = random.Random(41)
+    solved = []
+    for _ in range(5):
+        h = random_graph(rng, 9)
+        calls.clear()
+        solved.append((h, nu_star(h, RED)))
+        assert calls == [RED]
+    monkeypatch.undo()
+    for h, res in solved:
+        res.cover.check_feasible(h)
+
+
 def test_certified_exceeds_is_strict_and_sound():
     g = ColoredGraph.monochromatic(3)
     assert certified_exceeds(g, F(3)) is None  # pack = 3, not > 3
