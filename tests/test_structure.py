@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import json
+import os
 import random
 from fractions import Fraction
 
@@ -148,6 +151,46 @@ def test_relabelled_blowup_still_detected():
     h = relabel(g, order)
     cert = pentagon_distance(h, max_flips=0)
     assert cert is not None and cert.check(h)
+
+
+def pentagon_result(cert):
+    if cert is None:
+        return None
+    return [[list(b) for b in cert.blobs], [list(e) for e in cert.flips]]
+
+
+def pentagon_golden():
+    with open(os.path.join(os.path.dirname(__file__), "pentagon_golden.json")) as fh:
+        return json.load(fh)
+
+
+def test_pentagon_certificates_match_recorded():
+    """Certificates recorded with the search that re-ran a blob constraint
+    search once per flipped edge: TABLE1, bipartite graphs minus a matching,
+    monochromatic K_n, random colourings and relabelled blow-ups with random
+    interiors, singleton blobs and 0-2 flipped cross edges."""
+    records = pentagon_golden()["named"]
+    assert len(records) == 60
+    for r in records:
+        g = ColoredGraph(r["n"], r["colors"])
+        assert pentagon_result(pentagon_distance(g, 0)) == r["flips0"], r["name"]
+        assert pentagon_result(pentagon_distance(g, 1)) == r["flips1"], r["name"]
+
+
+def test_pentagon_certificates_match_recorded_exhaustively():
+    """Every colouring of K_5 and K_6, in both modes, hashed in the order of
+    itertools.product over (R, B)."""
+    for r in pentagon_golden()["exhaustive"]:
+        n, max_flips = r["n"], r["max_flips"]
+        results = [
+            pentagon_result(pentagon_distance(ColoredGraph(n, "".join(c)), max_flips))
+            for c in itertools.product((RED, BLUE), repeat=n * (n - 1) // 2)
+        ]
+        assert len(results) == r["count"]
+        assert sum(x is not None for x in results) == r["hits"]
+        assert sum(x is not None and bool(x[1]) for x in results) == r["one_flip"]
+        encoded = json.dumps(results, separators=(",", ":")).encode()
+        assert hashlib.sha256(encoded).hexdigest() == r["sha256"], (n, max_flips)
 
 
 # -- bad configurations -----------------------------------------------------
