@@ -58,21 +58,9 @@ def relabel(g: ColoredGraph, order: list[int]) -> ColoredGraph:
     return ColoredGraph(n, "".join(chars))
 
 
-def _color_rows(g: ColoredGraph) -> list[str]:
-    """rows[v][u] is the colour of edge vu; the diagonal holds '-'."""
-    n = g.n
-    rows = [["-"] * n for _ in range(n)]
-    idx = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows[i][j] = rows[j][i] = g.colors[idx]
-            idx += 1
-    return ["".join(row) for row in rows]
-
-
 def refinement_classes(g: ColoredGraph) -> list[int]:
     """Stable colour-degree classes; ids ordered by class signature."""
-    return _refine(_color_rows(g))
+    return _refine(g.color_rows())
 
 
 def _refine(rows: list[str]) -> list[int]:
@@ -99,7 +87,7 @@ def twin_classes(g: ColoredGraph) -> list[int]:
     Swapping two twins is an automorphism, so only one member of a class ever
     needs to be tried at any point of the canonical search.
     """
-    return _twins(_color_rows(g))
+    return _twins(g.color_rows())
 
 
 def _twins(rows: list[str]) -> list[int]:
@@ -124,7 +112,7 @@ def _twins(rows: list[str]) -> list[int]:
 class _Search:
     def __init__(self, g: ColoredGraph):
         self.n = g.n
-        self.rows = _color_rows(g)
+        self.rows = g.color_rows()
         self.cls = _refine(self.rows)
         self.twin = _twins(self.rows)
         self.best_seq: list[tuple[str, int]] | None = None

@@ -32,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .graph import BLUE, RED, ColoredGraph, GraphFormatError
-from .lp import FractionalCover, FractionalPacking, triangle_edges
+from .lp import FractionalCover, FractionalPacking
 
 PACKCERT_HEADER = "PACKCERT v1"
 COVERCERT_HEADER = "COVERCERT v1"

@@ -175,8 +175,6 @@ def cmd_pentagon(args) -> int:
 
 def cmd_bipdist(args) -> int:
     g = _load_graph(args.graph)
-    if args.color not in (RED, BLUE):
-        raise CliError(f"colour must be R or B, got {args.color!r}", EXIT_PRECONDITION)
     if args.k < 0:
         raise CliError("k must be non-negative", EXIT_PRECONDITION)
     cert = bip_distance_at_most(g.n, g.edges_of_color(args.color), args.k)
@@ -221,8 +219,6 @@ def cmd_construct(args) -> int:
 
 def cmd_decompose(args) -> int:
     g = _load_graph(args.graph)
-    if args.color not in (RED, BLUE):
-        raise CliError(f"colour must be R or B, got {args.color!r}", EXIT_PRECONDITION)
     edges = g.edges_of_color(args.color)
     packing, farkas = frac_decomposition(g.n, edges)
     if packing is not None:

@@ -62,6 +62,8 @@ class ColoredGraph:
     colors: str
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"vertex count must be non-negative, got {self.n}")
         m = self.n * (self.n - 1) // 2
         if len(self.colors) != m:
             raise ValueError(
@@ -79,6 +81,17 @@ class ColoredGraph:
     @property
     def is_complete(self) -> bool:
         return UNASSIGNED not in self.colors
+
+    def color_rows(self) -> list[str]:
+        """rows[v][u] is the colour of edge vu; the diagonal holds '-'."""
+        n = self.n
+        rows = [["-"] * n for _ in range(n)]
+        idx = 0
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = self.colors[idx]
+                idx += 1
+        return ["".join(row) for row in rows]
 
     def edges_of_color(self, c: str) -> list[Edge]:
         return [e for e in combinations(range(self.n), 2) if self.colors[edge_index(self.n, *e)] == c]

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .graph import BLUE, COLORS, RED, ColoredGraph, Edge, Triangle, norm_edge
-from .simplex import ONE, ZERO, simplex_max_leq, solve_eq_nonneg
+from .simplex import ONE, ZERO, simplex_max_leq
 
 MAX_DENOMINATOR = 10**6
 
@@ -296,24 +296,29 @@ def solve_loads(
     capacity: dict[Edge, Fraction],
 ):
     """Red triangle weights that load every demand edge exactly to its demand
-    and every capacity edge at most to its capacity.
+    and every capacity edge at most to its capacity (all non-negative).
 
     Returns (packing, None), or (None, farkas) when no such weights exist:
     farkas maps the demand and capacity edges to rationals, is >= 0 on
     capacity edges, has sum_{e in T} y_e >= 0 for every triangle T and
-    sum_e y_e * rhs_e < 0.  Each capacity row gets its own slack column.
+    sum_e y_e * rhs_e < 0.
+
+    Every row is a `<=` row, and the objective is the demand rows' column
+    sums, so the optimum is sum(demand) exactly when every demand is met.
+    Otherwise the demand duals less one, then the capacity duals, are the
+    Farkas vector (its value is the optimum minus sum(demand) < 0).
     """
     d_edges = sorted(demand)
     c_edges = sorted(capacity)
     rows = incidence_rows(triangles, d_edges + c_edges)
-    for r, row in enumerate(rows):
-        # capacity row k gets slack column k; demand rows get none
-        k = r - len(d_edges)
-        row.extend(ONE if i == k else ZERO for i in range(len(c_edges)))
     rhs = [demand[e] for e in d_edges] + [capacity[e] for e in c_edges]
-    x, y = solve_eq_nonneg(rows, rhs)
-    if x is None:
-        return None, dict(zip(d_edges + c_edges, y))
+    # a triangle's column sum over the demand rows: its demand edges
+    c = [Fraction(sum(e in demand for e in triangle_edges(t))) for t in triangles]
+    x, y, value = simplex_max_leq(rows, rhs, c)
+    k = len(d_edges)
+    if value != sum(rhs[:k], ZERO):
+        farkas = [yi - ONE for yi in y[:k]] + y[k:]
+        return None, dict(zip(d_edges + c_edges, farkas))
     packing = FractionalPacking(
         RED, {t: x[col] for col, t in enumerate(triangles) if x[col] > 0}
     )

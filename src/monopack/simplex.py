@@ -1,15 +1,10 @@
 """Exact rational simplex over `fractions.Fraction`.
 
-One tableau and two entry points, both certificate-producing:
-
-* `simplex_max_leq` solves  max c^T x  s.t.  A x <= b, x >= 0  (b >= 0) and
-  returns the optimal primal vertex together with the optimal dual vector,
-  whose objective values agree exactly (strong duality read off the final
-  tableau).
-* `solve_eq_nonneg` decides feasibility of  A x = b, x >= 0.  It builds no
-  tableau of its own: its phase 1 is a maximisation solved by
-  `simplex_max_leq`, and on infeasibility the Farkas vector y (y^T A_j >= 0
-  for every column j, y^T b < 0) is read from that solve's duals.
+`simplex_max_leq` solves  max c^T x  s.t.  A x <= b, x >= 0  (b >= 0) and
+returns the optimal primal vertex together with the optimal dual vector,
+whose objective values agree exactly (strong duality read off the final
+tableau).  Feasibility questions are posed as such maximisations, and their
+Farkas vectors are read from the duals (see `lp.solve_loads`).
 
 Anti-cycling: entering columns are scanned in index order and the leaving
 row breaks ties by smallest basis index, i.e. Bland's rule, which
@@ -108,24 +103,3 @@ def simplex_max_leq(
     value = -obj[-1]
     return x, y, value
 
-
-def solve_eq_nonneg(a_rows: list[list[Fraction]], b: list[Fraction]):
-    """Decide feasibility of A x = b, x >= 0.
-
-    Returns (x, None) with an exact feasible solution, or (None, y) with a
-    Farkas certificate: y^T A_j >= 0 for every column j and y^T b < 0.
-
-    Phase 1 as a maximisation: with the rows signed so that b' >= 0, maximise
-    the column sums of A' over A' x <= b', x >= 0.  The optimum is sum(b')
-    exactly when the slacks can all leave, i.e. when the system is feasible;
-    otherwise the optimal duals less one, with each row's sign restored, are
-    the Farkas vector (y^T b = optimum - sum(b') < 0).
-    """
-    signs = [-1 if Fraction(bi) < 0 else 1 for bi in b]
-    rows = [[s * Fraction(v) for v in row] for s, row in zip(signs, a_rows)]
-    rhs = [s * Fraction(bi) for s, bi in zip(signs, b)]
-    c = [sum(col, ZERO) for col in zip(*rows)]
-    x, y, value = simplex_max_leq(rows, rhs, c)
-    if value == sum(rhs, ZERO):
-        return x, None
-    return None, [s * (yi - ONE) for s, yi in zip(signs, y)]

@@ -6,12 +6,13 @@ as a vertex count together with an edge list.
 
 A pentagon blow-up is a partition of the vertices into five non-empty blobs
 A_0, ..., A_4 with every A_i - A_{i+1} edge red and every A_i - A_{i+2} edge
-blue (indices mod 5); edges inside blobs are unconstrained.  Detection is a
-small exact constraint search: blob indices are the variables, each edge
-colour restricts the pair of indices, and a solution is accepted only if all
-five blobs are non-empty and the certificate re-verifies.  Distance 1 is
-decided by exhausting all single-edge flips, so the decision has no false
-positives or negatives.
+blue (indices mod 5); edges inside blobs are unconstrained.  Distance at
+most k (k = 0 or 1) is decided by one exhaustive backtracking search over the
+blob of every vertex that tolerates at most k cross edges of the wrong
+colour: flipping those edges gives the blow-up.  Each unplaced vertex keeps
+the blobs it can still take with no and with one wrong edge, and a branch is
+cut once the five blobs can no longer all be filled, so the decision has no
+false positives or negatives and the certificate re-verifies.
 """
 
 from __future__ import annotations
@@ -226,6 +227,16 @@ def e_bip(n: int, edges) -> Fraction:
 # -- pentagon blow-up detection --------------------------------------------
 
 
+# colour of every A_i - A_{i+d} edge, by d mod 5; edges inside a blob are free
+_CROSS = (None, RED, BLUE, BLUE, RED)
+# _FITS[c][b]: bit b' is set when a c-coloured edge may join A_b and A_b'
+_FITS = {
+    c: [sum(1 << ((b + d) % 5) for d in range(5) if _CROSS[d] in (None, c)) for b in range(5)]
+    for c in (RED, BLUE)
+}
+_ALL_BLOBS = 0b11111
+
+
 @dataclass(frozen=True)
 class PentagonCert:
     blobs: tuple[tuple[int, ...], ...]  # five ordered, each sorted, non-empty
@@ -250,93 +261,68 @@ class PentagonCert:
         blob = self.blob_of()
         for i in range(g.n):
             for j in range(i + 1, g.n):
-                diff = (blob[j] - blob[i]) % 5
-                if diff == 0:
-                    continue
-                want = RED if diff in (1, 4) else BLUE
-                if h.color_of(i, j) != want:
+                want = _CROSS[(blob[j] - blob[i]) % 5]
+                if want is not None and h.color_of(i, j) != want:
                     return False
         return True
 
 
-_ALLOWED = {
-    RED: {b: {b, (b + 1) % 5, (b - 1) % 5} for b in range(5)},
-    BLUE: {b: {b, (b + 2) % 5, (b - 2) % 5} for b in range(5)},
-}
+def _blob_search(
+    g: ColoredGraph, max_flips: int
+) -> tuple[list[int], tuple[Edge, ...]] | None:
+    """Blob of every vertex, and the cross edges of the wrong colour, for a
+    partition into five non-empty blobs with at most max_flips such edges.
 
-
-def _find_blobs(g: ColoredGraph) -> list[list[int]] | None:
-    """Partition into five non-empty pentagon blobs, if one exists."""
+    A flip-free partition is returned if one exists, otherwise the one whose
+    wrong edge is least.  Vertices take blobs in index order, vertex 0 pinned
+    to blob 0 (rotation); a wrong edge (u, v) is recorded when its later
+    vertex v is placed.  ok0[w] and ok1[w] are the blobs an unplaced w can
+    take with no, and with exactly one, wrong edge to the placed vertices.  A
+    branch is cut as soon as the used blobs and those the unplaced vertices
+    can still reach within the budget miss one of the five.
+    """
     n = g.n
-    domains: list[set[int]] = [set(range(5)) for _ in range(n)]
-    assignment = [-1] * n
+    rows = g.color_rows()
+    blob = [0] * n
+    best: tuple[list[int], tuple[Edge, ...]] | None = None
 
-    def propagate(stack: list[int], trail: list[tuple[int, set[int] | None]]) -> bool:
-        """Assignments propagate to neighbours; False on a wiped-out domain or
-        an unsupported blob index.  `trail` records undo information."""
-        while stack:
-            v = stack.pop()
-            allowed_r = _ALLOWED[RED][assignment[v]]
-            allowed_b = _ALLOWED[BLUE][assignment[v]]
-            for u in range(n):
-                if u == v:
+    def dfs(v: int, used: int, ok0: list[int], ok1: list[int], flips) -> bool:
+        nonlocal best
+        if v == n:
+            if best is None or flips < best[1]:
+                best = (list(blob), flips)
+            return not flips
+        row = rows[v]
+        for b in range(5) if v else (0,):
+            bit = 1 << b
+            placed = flips
+            if not ok0[v] & bit:
+                if not ok1[v] & bit or len(flips) == max_flips:
                     continue
-                allowed = allowed_r if g.color_of(u, v) == RED else allowed_b
-                if assignment[u] >= 0:
-                    # u may have been forced while v still sat on the stack,
-                    # so the mutual edge must be checked here
-                    if assignment[u] not in allowed:
-                        return False
+                u = next(u for u in range(v) if _CROSS[(b - blob[u]) % 5] not in (None, row[u]))
+                placed = flips + ((u, v),)
+                if best is not None and placed >= best[1]:
                     continue
-                keep = domains[u] & allowed
-                if keep != domains[u]:
-                    trail.append((u, domains[u]))
-                    domains[u] = keep
-                    if not keep:
-                        return False
-                    if len(keep) == 1:
-                        assignment[u] = next(iter(keep))
-                        trail.append((u, None))
-                        stack.append(u)
-        supported = set(a for a in assignment if a >= 0)
-        for u in range(n):
-            if assignment[u] < 0:
-                supported |= domains[u]
-        return supported == set(range(5))
-
-    def undo(trail: list[tuple[int, set[int] | None]]) -> None:
-        for u, old in reversed(trail):
-            if old is None:
-                assignment[u] = -1
+            spare = len(placed) < max_flips
+            reach = used | bit
+            n0, n1 = ok0[:], ok1[:]
+            for w in range(v + 1, n):
+                fits = _FITS[row[w]][b]
+                n0[w] = ok0[w] & fits
+                n1[w] = ok1[w] & fits | ok0[w] & ~fits
+                r = n0[w] | n1[w] if spare else n0[w]
+                if not r:
+                    break
+                reach |= r
             else:
-                domains[u] = old
-
-    def search() -> bool:
-        free = [u for u in range(n) if assignment[u] < 0]
-        if not free:
-            return len(set(assignment)) == 5
-        v = min(free, key=lambda u: len(domains[u]))
-        for b in sorted(domains[v]):
-            assignment[v] = b
-            saved = domains[v]
-            domains[v] = {b}
-            trail: list[tuple[int, set[int] | None]] = []
-            if propagate([v], trail) and search():
-                return True
-            undo(trail)
-            assignment[v] = -1
-            domains[v] = saved
+                if reach == _ALL_BLOBS:
+                    blob[v] = b
+                    if dfs(v + 1, used | bit, n0, n1, placed):
+                        return True
         return False
 
-    # rotational symmetry: vertex 0 can be pinned to blob 0
-    assignment[0] = 0
-    domains[0] = {0}
-    if not propagate([0], []) or not search():
-        return None
-    blobs: list[list[int]] = [[] for _ in range(5)]
-    for v, b in enumerate(assignment):
-        blobs[b].append(v)
-    return blobs
+    dfs(0, 0, [_ALL_BLOBS] * n, [0] * n, ())
+    return best
 
 
 def _canonical_blob_order(blobs: list[list[int]]) -> tuple[tuple[int, ...], ...]:
@@ -364,21 +350,16 @@ def pentagon_distance(g: ColoredGraph, max_flips: int) -> PentagonCert | None:
         raise ValueError("max_flips must be 0 or 1")
     if not g.is_complete:
         raise ValueError("pentagon distance is defined for complete colourings")
-    candidates: list[tuple[Edge, ...]] = [()]
-    if max_flips == 1:
-        candidates += [
-            ((i, j),) for i in range(g.n) for j in range(i + 1, g.n)
-        ]
-    for flips in candidates:
-        h = g
-        for i, j in flips:
-            h = h.flip_edge(i, j)
-        blobs = _find_blobs(h)
-        if blobs is not None:
-            cert = PentagonCert(_canonical_blob_order(blobs), flips)
-            assert cert.check(g)
-            return cert
-    return None
+    found = _blob_search(g, max_flips)
+    if found is None:
+        return None
+    assignment, flips = found
+    blobs: list[list[int]] = [[] for _ in range(5)]
+    for v, b in enumerate(assignment):
+        blobs[b].append(v)
+    cert = PentagonCert(_canonical_blob_order(blobs), flips)
+    assert cert.check(g)
+    return cert
 
 
 # -- bad configurations around an apex -------------------------------------
@@ -464,7 +445,8 @@ def absorb_apex(
     best: tuple[int, tuple[Edge, ...]] | None = None
     for i in range(5):
         flips: list[Edge] = []
-        for off, want in ((1, RED), (4, RED), (2, BLUE), (3, BLUE)):
+        for off in range(1, 5):
+            want = _CROSS[off]
             for v in cert.blobs[(i + off) % 5]:
                 if g.color_of(u, v) != want:
                     flips.append((min(u, v), max(u, v)))

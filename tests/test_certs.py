@@ -163,6 +163,16 @@ def test_covercert_parse_errors():
             parse_covercert(head + body)
 
 
+def test_negative_vertex_count_rejected():
+    # n = -2 gives n(n-1)/2 = 3, the length of the colour string
+    ok, msg = verify_packcert("PACKCERT v1\ngraph: n=-2 RRR\nclaim: pack >= 0\n")
+    assert not ok and "non-negative" in msg
+    ok, msg = verify_covercert(
+        "COVERCERT v1\ngraph: n=-2 RRR\ncolor: R\nclaim: nustar <= 0\n"
+    )
+    assert not ok and "non-negative" in msg
+
+
 def test_negative_cover_weight_rejected():
     text = (
         "COVERCERT v1\ngraph: n=3 BBB\ncolor: R\nclaim: nustar <= 0\n0 1 -1\n"

@@ -215,6 +215,34 @@ def test_solve_loads_with_capacities():
     assert packing.weights == {(0, 1, 2): F(1, 2), (0, 1, 3): F(1, 2)}
 
 
+def test_random_loads_certified():
+    """Random demands and capacities on K_n: either a packing that meets
+    every demand exactly within the capacities, or a Farkas vector."""
+    rng = random.Random(9)
+    feasible = infeasible = 0
+    for _ in range(40):
+        n = rng.randint(4, 6)
+        triangles = list(combinations(range(n), 3))
+        demand, capacity = {}, {}
+        for e in combinations(range(n), 2):
+            rows = demand if rng.random() < 0.6 else capacity
+            rows[e] = F(rng.randint(0, 4), 4)
+        packing, farkas = solve_loads(triangles, demand, capacity)
+        if packing is not None:
+            feasible += 1
+            assert farkas is None
+            assert all(w > 0 for w in packing.weights.values())
+            loads = packing.edge_loads()
+            for e, d in demand.items():
+                assert loads.get(e, 0) == d
+            for e, cap in capacity.items():
+                assert loads.get(e, 0) <= cap
+        else:
+            infeasible += 1
+            assert_farkas(farkas, triangles, demand, capacity)
+    assert feasible and infeasible
+
+
 def test_integer_nu_oracle_values():
     assert integer_nu(4, combinations(range(4), 2)) == 1
     assert integer_nu(7, combinations(range(7), 2)) == 7

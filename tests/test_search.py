@@ -308,6 +308,16 @@ def test_resume_rejects_corrupt_and_mismatched(tmp_path):
     state = resume(good)
     with pytest.raises(ValueError):
         run_search([], SearchConfig(n_end=5, admit_swap=False), state=state)
+    # an overstated claim fails the same replay as `monopack verify`
+    with open(good) as fh:
+        payload = json.load(fh)
+    item = payload["frontier"][0]
+    head, claim, rest = item["packcert"].partition("claim: pack >= ")
+    item["packcert"] = head + claim + "1000" + rest[rest.index("\n"):]
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    with pytest.raises(ValueError, match="below the claim 1000"):
+        resume(path)
 
 
 def test_blowup_extension_shadows_known_families():

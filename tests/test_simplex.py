@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from monopack.simplex import UnboundedError, simplex_max_leq, solve_eq_nonneg
+from monopack.simplex import UnboundedError, simplex_max_leq
 
 F = Fraction
 
@@ -53,44 +53,6 @@ def test_unbounded_detected():
 def test_negative_rhs_rejected():
     with pytest.raises(ValueError):
         simplex_max_leq([[F(1)]], [F(-1)], [F(1)])
-
-
-def test_eq_system_feasible():
-    # x1 + x2 = 2, x2 + x3 = 1
-    a = [[F(1), F(1), F(0)], [F(0), F(1), F(1)]]
-    x, y = solve_eq_nonneg(a, [F(2), F(1)])
-    assert y is None
-    assert sum(x[:2]) == 2 and x[1] + x[2] == 1
-
-
-def test_eq_system_infeasible_farkas():
-    # x1 = 1 and x1 = 2 cannot both hold
-    a = [[F(1)], [F(1)]]
-    x, y = solve_eq_nonneg(a, [F(1), F(2)])
-    assert x is None
-    assert y[0] + y[1] >= 0  # y^T A_j >= 0
-    assert y[0] + 2 * y[1] < 0  # y^T b < 0
-
-
-def test_random_eq_systems_certified():
-    rng = random.Random(9)
-    feasible = infeasible = 0
-    for _ in range(60):
-        m, n = rng.randint(1, 4), rng.randint(1, 5)
-        a = [[F(rng.randint(-2, 3)) for _ in range(n)] for _ in range(m)]
-        b = [F(rng.randint(-3, 4)) for _ in range(m)]
-        x, y = solve_eq_nonneg(a, b)
-        if x is not None:
-            feasible += 1
-            assert all(xj >= 0 for xj in x)
-            for row, bi in zip(a, b):
-                assert sum(r * xj for r, xj in zip(row, x)) == bi
-        else:
-            infeasible += 1
-            for j in range(n):
-                assert sum(y[i] * a[i][j] for i in range(m)) >= 0
-            assert sum(y[i] * b[i] for i in range(m)) < 0
-    assert feasible and infeasible
 
 
 def test_triangle_packing_lp_k4():

@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -126,6 +127,16 @@ def test_flipped_blowup_needs_exactly_one_flip():
 def test_non_blowups_rejected():
     assert pentagon_distance(ColoredGraph.monochromatic(10), max_flips=1) is None
     assert pentagon_distance(bipartite_minus_matching(17, 3), max_flips=1) is None
+
+
+def test_pentagon_search_stays_fast_on_large_non_blowups():
+    """Without the lookahead that cuts a branch once the five blobs cannot
+    all be filled, monochromatic K_n takes exponential time."""
+    for g in (ColoredGraph.monochromatic(25), bipartite_minus_matching(40, 20)):
+        for max_flips in (0, 1):
+            start = time.perf_counter()
+            assert pentagon_distance(g, max_flips) is None
+            assert time.perf_counter() - start < 0.5, (g.n, max_flips)
 
 
 def test_pentagon_cert_check_rejects_tampering():
