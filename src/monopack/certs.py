@@ -25,10 +25,14 @@ COVERCERT v1 certifies an upper bound on one colour's fractional packing:
 Each line weights an edge; the certificate is valid if the weights are
 non-negative, every monochromatic triangle of the colour is covered to at
 least 1, and the total weight is at most the claim.
+
+A <p/q> is what `str(Fraction)` writes: an optional `-`, digits, optionally
+`/` and digits.  Decimal points and exponents are rejected.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .graph import BLUE, RED, ColoredGraph, GraphFormatError
@@ -58,6 +62,8 @@ def _parse_graph_line(line: str) -> ColoredGraph:
 
 
 def _parse_fraction(text: str) -> Fraction:
+    if not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text):
+        raise CertFormatError(f"bad rational {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -71,7 +77,7 @@ def format_packcert(
     claim: Fraction | None = None,
 ) -> str:
     if claim is None:
-        claim = red.edge_weight_total() + blue.edge_weight_total()
+        claim = 3 * (red.value() + blue.value())
     lines = [PACKCERT_HEADER, _graph_line(g), f"claim: pack >= {Fraction(claim)}"]
     for packing in (red, blue):
         for (i, j, k), w in sorted(packing.weights.items()):
@@ -114,12 +120,12 @@ def verify_packcert(text: str, g: ColoredGraph | None = None) -> tuple[bool, str
         return False, str(exc)
     if g is not None and (g.n != cg.n or g.colors != cg.colors):
         return False, "certificate graph differs from the supplied graph"
+    total = Fraction(0)
     for packing in (red, blue):
         try:
-            packing.check_feasible(cg)
+            total += 3 * packing.check_feasible(cg)
         except ValueError as exc:
             return False, f"{packing.color} packing infeasible: {exc}"
-    total = red.edge_weight_total() + blue.edge_weight_total()
     if total < claim:
         return False, f"total weight {total} is below the claim {claim}"
     return True, f"pack >= {claim} verified (total {total})"
@@ -180,10 +186,9 @@ def verify_covercert(text: str, g: ColoredGraph | None = None) -> tuple[bool, st
     if g is not None and (g.n != cg.n or g.colors != cg.colors):
         return False, "certificate graph differs from the supplied graph"
     try:
-        cover.check_feasible(cg)
+        total = cover.check_feasible(cg)
     except ValueError as exc:
         return False, f"cover infeasible: {exc}"
-    total = cover.value()
     if total > claim:
         return False, f"total weight {total} exceeds the claim {claim}"
     return True, f"nustar({cover.color}) <= {claim} verified (total {total})"

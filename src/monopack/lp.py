@@ -2,11 +2,12 @@
 
 All results are exact rationals.  The default solve path runs a float LP
 (scipy/HiGHS) for speed and snaps its primal and dual solutions to nearby
-fractions.  It accepts them only if the primal and dual values agree exactly
-and both pass the same feasibility checks that replay certificates;
+fractions.  It accepts them only if both pass the same feasibility checks
+that replay certificates and the values those checks return agree exactly;
 otherwise it falls back to the exact rational simplex.  Either way, a
-returned `SolveResult` carries matching primal and dual certificates, and its
-values are read off them.
+returned `SolveResult` carries matching primal and dual certificates.  Each
+check runs in integers over one common denominator and returns the value it
+has just verified, so no consumer sums the weights again.
 
 `solve_loads` is the one solver for triangle weights with prescribed edge
 loads; `frac_decomposition`, `prescribed_packing` and the two-blob
@@ -63,6 +64,12 @@ def incidence_rows(triangles: list[Triangle], edges: list[Edge]) -> list[list[Fr
     return dense
 
 
+def _over_one_denominator(weights) -> tuple[int, list[int]]:
+    """The lcm d of the denominators of a collection of weights, and each weight times d."""
+    d = math.lcm(*(w.denominator for w in weights))
+    return d, [w.numerator * (d // w.denominator) for w in weights]
+
+
 @dataclass(frozen=True)
 class FractionalPacking:
     """Exact rational weights on monochromatic triangles of one colour."""
@@ -71,10 +78,8 @@ class FractionalPacking:
     weights: dict[Triangle, Fraction] = field(default_factory=dict)
 
     def value(self) -> Fraction:
-        return sum(self.weights.values(), ZERO)
-
-    def edge_weight_total(self) -> Fraction:
-        return 3 * self.value()
+        d, scaled = _over_one_denominator(self.weights.values())
+        return Fraction(sum(scaled), d)
 
     def edge_loads(self) -> dict[Edge, Fraction]:
         loads: dict[Edge, Fraction] = {}
@@ -83,21 +88,26 @@ class FractionalPacking:
                 loads[e] = loads.get(e, ZERO) + w
         return loads
 
-    def check_feasible(self, g: ColoredGraph) -> None:
-        """Raise ValueError unless this is a valid packing in g's colour class."""
+    def check_feasible(self, g: ColoredGraph) -> Fraction:
+        """The value of this packing in g's colour class; ValueError if infeasible."""
         if self.color not in COLORS:
             raise ValueError(f"colour must be one of {COLORS}, got {self.color!r}")
-        for t, w in self.weights.items():
+        d, scaled = _over_one_denominator(self.weights.values())
+        loads: dict[Edge, int] = {}
+        for t, w in zip(self.weights, scaled):
             i, j, k = t
             if not 0 <= i < j < k < g.n:
                 raise ValueError(f"triangle {t} needs 0 <= i < j < k < {g.n}")
             if not g.color_of(i, j) == g.color_of(i, k) == g.color_of(j, k) == self.color:
                 raise ValueError(f"triangle {t} is not {self.color}-monochromatic")
-            if not (0 <= w <= 1):
-                raise ValueError(f"triangle {t} has weight {w} outside [0, 1]")
-        for e, load in self.edge_loads().items():
-            if load > 1:
-                raise ValueError(f"edge {e} is overloaded: {load}")
+            if not 0 <= w <= d:
+                raise ValueError(f"triangle {t} has weight {Fraction(w, d)} outside [0, 1]")
+            for e in triangle_edges(t):
+                loads[e] = loads.get(e, 0) + w
+        for e, load in loads.items():
+            if load > d:
+                raise ValueError(f"edge {e} is overloaded: {Fraction(load, d)}")
+        return Fraction(sum(scaled), d)
 
 
 @dataclass(frozen=True)
@@ -108,24 +118,25 @@ class FractionalCover:
     edge_weights: dict[Edge, Fraction] = field(default_factory=dict)
 
     def value(self) -> Fraction:
-        return sum(self.edge_weights.values(), ZERO)
+        d, scaled = _over_one_denominator(self.edge_weights.values())
+        return Fraction(sum(scaled), d)
 
-    def check_feasible(self, g: ColoredGraph) -> None:
-        """Raise ValueError unless this covers every triangle of g's colour class."""
-        self.check_covers(g.monochromatic_triangles(self.color))
+    def check_feasible(self, g: ColoredGraph) -> Fraction:
+        """The value of this cover of g's colour class; ValueError if infeasible."""
+        return self.check_covers(g.monochromatic_triangles(self.color))
 
-    def check_covers(self, triangles: list[Triangle]) -> None:
-        """Raise ValueError unless the weights are >= 0 and load each triangle >= 1."""
-        for e, y in self.edge_weights.items():
+    def check_covers(self, triangles: list[Triangle]) -> Fraction:
+        """The cover's value; ValueError unless it is >= 0 and covers each triangle."""
+        d, scaled = _over_one_denominator(self.edge_weights.values())
+        by_edge = dict(zip(self.edge_weights, scaled))
+        for e, y in by_edge.items():
             if y < 0:
-                raise ValueError(f"edge {e} has negative cover weight {y}")
-        # compare in integers: every weight scaled by one common denominator
-        d = math.lcm(*(y.denominator for y in self.edge_weights.values()))
-        scaled = {e: y.numerator * (d // y.denominator) for e, y in self.edge_weights.items()}
+                raise ValueError(f"edge {e} has negative cover weight {Fraction(y, d)}")
         for t in triangles:
-            s = sum(scaled.get(e, 0) for e in triangle_edges(t))
+            s = sum(by_edge.get(e, 0) for e in triangle_edges(t))
             if s < d:
                 raise ValueError(f"triangle {t} is not covered: {Fraction(s, d)} < 1")
+        return Fraction(sum(scaled), d)
 
 
 @dataclass(frozen=True)
@@ -170,18 +181,16 @@ def rationalize(
     """Certified rationalisation of a float LP solution, or None.
 
     `xs` weights `triangles` and `duals` weights `edges`.  Both are snapped
-    to nearby fractions; the result is accepted only if the primal and dual
-    values agree exactly and both certificates pass their feasibility checks.
+    to nearby fractions; the result is accepted only if both certificates
+    pass their feasibility checks and the values they return agree exactly.
     `triangles` must be all of g's `color` triangles: the cover is checked
     against that list.
     """
     packing = FractionalPacking(color, _snap(triangles, xs))
     cover = FractionalCover(color, _snap(edges, duals))
-    if packing.value() != cover.value():
-        return None
     try:
-        packing.check_feasible(g)
-        cover.check_covers(triangles)
+        if packing.check_feasible(g) != cover.check_covers(triangles):
+            return None
     except ValueError:
         return None
     return SolveResult(packing, cover)
@@ -207,10 +216,8 @@ def _exact_solve(triangles: list[Triangle], edges: list[Edge], color: str):
     b = [ONE] * len(edges)
     c = [ONE] * len(triangles)
     x, y, _ = simplex_max_leq(incidence_rows(triangles, edges), b, c)
-    packing = FractionalPacking(
-        color, {t: x[col] for col, t in enumerate(triangles) if x[col] > 0}
-    )
-    cover = FractionalCover(color, {e: y[r] for r, e in enumerate(edges) if y[r] > 0})
+    packing = FractionalPacking(color, {t: w for t, w in zip(triangles, x) if w > 0})
+    cover = FractionalCover(color, {e: w for e, w in zip(edges, y) if w > 0})
     return SolveResult(packing, cover)
 
 
@@ -236,10 +243,10 @@ def nu_star(g: ColoredGraph, color: str, exact_only: bool = False) -> SolveResul
     return _exact_solve(triangles, edges, color)
 
 
-def pack(g: ColoredGraph, exact_only: bool = False) -> PackValue:
+def pack(g: ColoredGraph) -> PackValue:
     """pack(G): total edge weight of the best monochromatic packings of both colours."""
-    red = nu_star(g, RED, exact_only=exact_only)
-    blue = nu_star(g, BLUE, exact_only=exact_only)
+    red = nu_star(g, RED)
+    blue = nu_star(g, BLUE)
     return PackValue(3 * (red.primal_value + blue.primal_value), red, blue)
 
 
@@ -251,40 +258,22 @@ class ExceedCertificate:
     blue: FractionalPacking
     threshold: Fraction
 
-    @property
-    def total(self) -> Fraction:
-        """3 * (red + blue triangle weight)."""
-        return self.red.edge_weight_total() + self.blue.edge_weight_total()
-
     def check(self, g: ColoredGraph) -> None:
-        self.red.check_feasible(g)
-        self.blue.check_feasible(g)
-        if not self.total > self.threshold:
+        if certified_exceeds(g, self.threshold, self.red, self.blue) is None:
             raise ValueError("certificate does not exceed its threshold")
 
 
 def certified_exceeds(
-    g: ColoredGraph,
-    threshold: Fraction,
-    red: FractionalPacking | None = None,
-    blue: FractionalPacking | None = None,
+    g: ColoredGraph, threshold: Fraction, red: FractionalPacking, blue: FractionalPacking
 ) -> ExceedCertificate | None:
-    """Sound pruning test: a certificate that pack of the assigned part strictly
-    exceeds `threshold`, or None.  Never a false positive.
-
-    Pre-computed feasible packings may be passed in; they are re-solved only
-    when absent.
+    """Sound pruning test: a certificate that the packings `red` and `blue` of
+    g's assigned part strictly exceed `threshold`, or None.  Both packings are
+    checked, so it is never a false positive; an infeasible one raises ValueError.
     """
     threshold = Fraction(threshold)
-    if red is None:
-        red = nu_star(g, RED).packing
-    if blue is None:
-        blue = nu_star(g, BLUE).packing
-    cert = ExceedCertificate(red, blue, threshold)
-    if not cert.total > threshold:
+    if not 3 * (red.check_feasible(g) + blue.check_feasible(g)) > threshold:
         return None
-    cert.check(g)
-    return cert
+    return ExceedCertificate(red, blue, threshold)
 
 
 # -- prescribed edge loads -----------------------------------------------
@@ -319,10 +308,7 @@ def solve_loads(
     if value != sum(rhs[:k], ZERO):
         farkas = [yi - ONE for yi in y[:k]] + y[k:]
         return None, dict(zip(d_edges + c_edges, farkas))
-    packing = FractionalPacking(
-        RED, {t: x[col] for col, t in enumerate(triangles) if x[col] > 0}
-    )
-    return packing, None
+    return FractionalPacking(RED, {t: w for t, w in zip(triangles, x) if w > 0}), None
 
 
 # -- fractional decompositions -------------------------------------------

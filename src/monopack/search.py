@@ -221,9 +221,7 @@ def prune(node: SearchNode, threshold: Fraction):
     assigned part exceeds the threshold."""
     if 3 * (node.red.lo + node.blue.lo) <= threshold:
         return None
-    return certified_exceeds(
-        node.graph, threshold, red=node.red.packing, blue=node.blue.packing
-    )
+    return certified_exceeds(node.graph, threshold, node.red.packing, node.blue.packing)
 
 
 def classify_complete(g: ColoredGraph, level_filter):
@@ -367,26 +365,34 @@ def checkpoint(state: SearchState, path: str) -> None:
 
 
 def resume(path: str) -> SearchState:
+    """The state in a checkpoint; ValueError unless it is well formed and its
+    frontier holds complete colourings on `level` vertices with valid PACKCERTs."""
     with open(path) as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"corrupt checkpoint: {exc}") from exc
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    if type(payload) is not dict or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError("not a search checkpoint file")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
+    level, items = payload.get("level"), payload.get("frontier")
+    reports, admit_swap = payload.get("report", {}), payload.get("admit_swap")
+    if (type(level), type(items), type(reports), type(admit_swap)) != (int, list, dict, bool):
+        raise ValueError("checkpoint has a malformed level, frontier, report or admit_swap")
+    fields = vars(LevelStats()).keys()
+    if not all(type(s) is dict and s.keys() <= fields and all(type(v) is int for v in s.values())
+               for s in reports.values()):
+        raise ValueError("checkpoint report holds an unknown field or a non-integer count")
+    report = SearchReport({int(n): LevelStats(**stats) for n, stats in reports.items()})
     frontier = []
-    for item in payload["frontier"]:
-        ok, msg = certs.verify_packcert(item["packcert"])
+    for item in items:
+        text = item.get("packcert") if type(item) is dict else None
+        ok, msg = certs.verify_packcert(text) if type(text) is str else (False, "missing")
         if not ok:
             raise ValueError(f"checkpoint PACKCERT rejected: {msg}")
-        g = certs.parse_packcert(item["packcert"])[0]
+        g = certs.parse_packcert(text)[0]
+        if g.n != level or not g.is_complete:
+            raise ValueError(f"checkpoint frontier graph is not a complete K_{level} colouring")
         frontier.append(solve_node(g))
-    report = SearchReport(
-        {
-            int(n): LevelStats(**stats)
-            for n, stats in payload.get("report", {}).items()
-        }
-    )
-    return SearchState(payload["level"], frontier, report, payload["admit_swap"])
+    return SearchState(level, frontier, report, admit_swap)

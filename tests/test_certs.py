@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from monopack.certs import (
 )
 from monopack.constructions import BlobSpec, pentagon_blowup
 from monopack.graph import BLUE, RED, ColoredGraph
-from monopack.lp import FractionalCover, nu_star, pack
+from monopack.lp import FractionalCover, FractionalPacking, nu_star, pack
 
 F = Fraction
 
@@ -192,3 +193,69 @@ def test_cover_check_compares_over_common_denominator():
         FractionalCover(RED, short).check_feasible(g)
     ok, msg = verify_covercert(format_covercert(g, FractionalCover(RED, short)))
     assert not ok and "not covered: 41/42 < 1" in msg
+
+
+def test_packing_check_compares_over_common_denominator():
+    g = ColoredGraph.monochromatic(5)
+    # three triangles through edge (0, 1): its load is the sum of the weights
+    exact = {(0, 1, 2): F(1, 2), (0, 1, 3): F(1, 3), (0, 1, 4): F(1, 6)}
+    assert FractionalPacking(RED, exact).check_feasible(g) == 1
+    ok, msg = verify_packcert(
+        format_packcert(g, FractionalPacking(RED, exact), FractionalPacking(BLUE))
+    )
+    assert ok and "(total 3)" in msg
+    over = FractionalPacking(RED, {**exact, (0, 1, 4): F(1, 5)})
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) is overloaded: 31/30"):
+        over.check_feasible(g)
+    ok, msg = verify_packcert(format_packcert(g, over, FractionalPacking(BLUE)))
+    assert not ok and "overloaded: 31/30" in msg
+    # weight 1 is allowed, 7/6 is not
+    assert FractionalPacking(RED, {(0, 1, 2): F(1)}).check_feasible(g) == 1
+    with pytest.raises(ValueError, match=r"weight 7/6 outside \[0, 1\]"):
+        FractionalPacking(RED, {(0, 1, 2): F(7, 6)}).check_feasible(g)
+
+
+def test_checks_return_the_value_they_verify():
+    rng = random.Random(8)
+    for n in range(3, 12):
+        g = ColoredGraph(n, "".join(rng.choice("RB") for _ in range(n * (n - 1) // 2)))
+        res = pack(g)
+        red, blue = res.red.packing, res.blue.packing
+        assert red.check_feasible(g) == red.value()
+        assert blue.check_feasible(g) == blue.value()
+        ok, msg = verify_packcert(format_packcert(g, red, blue))
+        assert ok and msg.endswith(f"(total {3 * (red.value() + blue.value())})")
+        for side in (res.red, res.blue):
+            cover = side.cover
+            assert cover.check_feasible(g) == cover.value() == side.packing.value()
+            ok, msg = verify_covercert(format_covercert(g, cover))
+            assert ok and msg.endswith(f"(total {cover.value()})")
+
+
+def test_rationals_must_be_integers_or_fractions():
+    words = ("1e3", "0.5", "1e-2", "0.5e1", "+1", "1/-2", "\u0661", "1_0", "inf", "1/0")
+    for text in words + (" 1", "1 /2", ""):  # whitespace only matters in a claim
+        packcert = f"PACKCERT v1\ngraph: n=3 RRR\nclaim: pack >= {text}\n"
+        ok, msg = verify_packcert(packcert)
+        assert not ok and "bad rational" in msg, text
+        covercert = f"COVERCERT v1\ngraph: n=3 RRR\ncolor: R\nclaim: nustar <= {text}\n"
+        ok, msg = verify_covercert(covercert)
+        assert not ok and "bad rational" in msg, text
+    for text in words:
+        packcert = f"PACKCERT v1\ngraph: n=3 RRR\nclaim: pack >= 0\nR 0 1 2 {text}\n"
+        ok, msg = verify_packcert(packcert)
+        assert not ok and "bad rational" in msg, text
+        covercert = f"COVERCERT v1\ngraph: n=3 RRR\ncolor: R\nclaim: nustar <= 1\n0 1 {text}\n"
+        ok, msg = verify_covercert(covercert)
+        assert not ok and "bad rational" in msg, text
+    # a 12-character exponent is refused without expanding it
+    ok, msg = verify_covercert(
+        "COVERCERT v1\ngraph: n=3 RRR\ncolor: R\nclaim: nustar <= 1e999999999\n0 1 1\n"
+    )
+    assert not ok and "bad rational" in msg
+    # what str(Fraction) writes still parses; the red cover of BBB has value 0
+    for text in ("-3", "0", "7/2", "-1/3", "007/010"):
+        ok, msg = verify_covercert(
+            f"COVERCERT v1\ngraph: n=3 BBB\ncolor: R\nclaim: nustar <= {text}\n"
+        )
+        assert ok == (F(text) >= 0), (text, msg)

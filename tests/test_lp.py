@@ -139,11 +139,15 @@ def test_float_path_checks_cover_against_the_solved_triangles(monkeypatch):
 
 def test_certified_exceeds_is_strict_and_sound():
     g = ColoredGraph.monochromatic(3)
-    assert certified_exceeds(g, F(3)) is None  # pack = 3, not > 3
-    cert = certified_exceeds(g, F(5, 2))
+    p = pack(g)
+    # pack = 3, not > 3
+    assert certified_exceeds(g, F(3), p.red.packing, p.blue.packing) is None
+    cert = certified_exceeds(g, F(5, 2), p.red.packing, p.blue.packing)
     assert cert is not None
     cert.check(g)
-    assert certified_exceeds(ColoredGraph.monochromatic(4), F(100)) is None
+    k4 = ColoredGraph.monochromatic(4)
+    q = pack(k4)
+    assert certified_exceeds(k4, F(100), q.red.packing, q.blue.packing) is None
 
 
 def test_frac_decomposition_k7():

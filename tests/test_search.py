@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from monopack import search as search_mod
+from monopack import certs, search as search_mod
+from monopack.cli import main
 from monopack.canonical import canonical_key
 from monopack.constructions import BlobSpec, flipped_blowup, pentagon_blowup
 from monopack.graph import BLUE, RED, UNASSIGNED, ColoredGraph
@@ -318,6 +319,40 @@ def test_resume_rejects_corrupt_and_mismatched(tmp_path):
         json.dump(payload, fh)
     with pytest.raises(ValueError, match="below the claim 1000"):
         resume(path)
+
+    # each malformed checkpoint is a ValueError, so `search --resume` exits 2
+    def item(g):
+        empty = FractionalPacking(RED), FractionalPacking(BLUE)
+        return {"graph": g.serialize(), "packcert": certs.format_packcert(g, *empty)}
+
+    with open(good) as fh:
+        text = fh.read()
+    edits = [
+        lambda p: p.pop("level"),
+        lambda p: p.pop("frontier"),
+        lambda p: p.pop("admit_swap"),
+        lambda p: p["frontier"][0].pop("packcert"),
+        lambda p: p["frontier"][0].update(packcert=7),
+        lambda p: p["report"]["4"].update(speed=1),
+        lambda p: p["report"].update({"5": {"pruned": "x"}}),
+        lambda p: p.update(level="x"),
+        # a frontier graph of the wrong size, or one with unassigned edges
+        lambda p: p["frontier"].append(item(ColoredGraph(3, "RRB"))),
+        lambda p: p["frontier"].append(item(ColoredGraph(4, "RRBRB."))),
+    ]
+    variants = [[json.loads(text)]]  # a list, not a checkpoint object
+    for edit in edits:
+        payload = json.loads(text)
+        edit(payload)
+        variants.append(payload)
+    for payload in variants:
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        with pytest.raises(ValueError):
+            resume(path)
+        assert main(["search", "--resume", path, "--n-end", "5"]) == 2
+    # the unmodified checkpoint still resumes from the CLI
+    assert main(["search", "--resume", good, "--n-end", "5"]) == 0
 
 
 def test_blowup_extension_shadows_known_families():
