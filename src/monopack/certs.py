@@ -70,15 +70,9 @@ def _parse_fraction(text: str) -> Fraction:
         raise CertFormatError(f"bad rational {text!r}") from exc
 
 
-def format_packcert(
-    g: ColoredGraph,
-    red: FractionalPacking,
-    blue: FractionalPacking,
-    claim: Fraction | None = None,
-) -> str:
-    if claim is None:
-        claim = 3 * (red.value() + blue.value())
-    lines = [PACKCERT_HEADER, _graph_line(g), f"claim: pack >= {Fraction(claim)}"]
+def format_packcert(g: ColoredGraph, red: FractionalPacking, blue: FractionalPacking) -> str:
+    claim = 3 * (red.value() + blue.value())
+    lines = [PACKCERT_HEADER, _graph_line(g), f"claim: pack >= {claim}"]
     for packing in (red, blue):
         for (i, j, k), w in sorted(packing.weights.items()):
             lines.append(f"{packing.color} {i} {j} {k} {w}")
@@ -131,16 +125,12 @@ def verify_packcert(text: str, g: ColoredGraph | None = None) -> tuple[bool, str
     return True, f"pack >= {claim} verified (total {total})"
 
 
-def format_covercert(
-    g: ColoredGraph, cover: FractionalCover, claim: Fraction | None = None
-) -> str:
-    if claim is None:
-        claim = cover.value()
+def format_covercert(g: ColoredGraph, cover: FractionalCover) -> str:
     lines = [
         COVERCERT_HEADER,
         _graph_line(g),
         f"color: {cover.color}",
-        f"claim: nustar <= {Fraction(claim)}",
+        f"claim: nustar <= {cover.value()}",
     ]
     for (i, j), w in sorted(cover.edge_weights.items()):
         lines.append(f"{i} {j} {w}")

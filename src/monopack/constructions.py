@@ -3,23 +3,25 @@
 Pentagon blow-ups, the bipartite-minus-matching colourings, the closed-form
 pack values of the listed blob-size families, and the explicit two-blob and
 three-blob fractional packings.  The two- and three-blob constructions
-return a host graph whose present edges are red (missing cross edges are
-blue, so they carry no red triangle) together with an exact packing whose
-stated postconditions are asserted before returning: inside edges get total
-weight exactly 1/2 (exactly 1 for the middle blob of the three-blob case),
-cross edges at most 1, and only cross triangles are used.
+return a host graph whose present edges are red (absent pairs are blue, so
+they carry no red triangle) together with an exact packing whose stated
+postconditions are checked before returning.  `check_feasible` on the host
+proves that only present pairs are used and that every edge load is at
+most 1; on top of that, every triangle meets exactly two blobs and inside
+edges get total weight exactly 1/2 (exactly 1 for the middle blob of the
+three-blob case).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 from .graph import BLUE, RED, ColoredGraph, Edge, norm_edge
-from .lp import FractionalPacking, solve_loads, triangle_edges
-from .simplex import ZERO
+from .lp import FractionalPacking, solve_loads
+from .simplex import ONE, ZERO
 from .structure import PentagonCert
 
 HALF = Fraction(1, 2)
@@ -163,46 +165,39 @@ def _host(n: int, absent: set[Edge]) -> ColoredGraph:
     return ColoredGraph.from_red_edges(n, red)
 
 
-def _check_two_blob(
-    packing: FractionalPacking, n_a: int, n_b: int, missing: set[Edge]
+def _check_blob_packing(
+    packing: FractionalPacking, g: ColoredGraph, blobs, inside
 ) -> None:
-    loads = packing.edge_loads()
+    """Check a blob packing on its host g: feasible in g (so it uses no
+    absent, blue, pair and loads no edge above 1), every triangle meets
+    exactly two blobs, and each edge inside blobs[i] has load inside[i]."""
+    packing.check_feasible(g)
+    blob_of = {v: i for i, blob in enumerate(blobs) for v in blob}
     for t in packing.weights:
-        sides = {v >= n_a for v in t}
-        assert len(sides) == 2, f"non-cross triangle {t}"
-        assert not any(norm_edge(e) in missing for e in triangle_edges(t))
-    for part in (range(n_a), range(n_a, n_a + n_b)):
-        for e in combinations(part, 2):
-            assert loads.get(e, ZERO) == HALF, f"inside edge {e}: {loads.get(e)}"
-    for a in range(n_a):
-        for b in range(n_a, n_a + n_b):
-            if (a, b) in missing:
-                assert (a, b) not in loads
-            else:
-                assert loads.get((a, b), ZERO) <= 1, f"cross edge {(a, b)} overloaded"
+        assert len({blob_of[v] for v in t}) == 2, f"non-cross triangle {t}"
+    loads = packing.edge_loads()
+    for blob, want in zip(blobs, inside):
+        for e in combinations(blob, 2):
+            assert loads.get(e, ZERO) == want, f"inside edge {e}: {loads.get(e)} != {want}"
 
 
 def _matching_weights(
-    n_a: int, n_b: int, missing: set[Edge], saturate: bool = False
+    a_verts: range, b_verts: range, missing: set[Edge], saturate: bool = False
 ) -> FractionalPacking:
     """Cross triangles weighted 1/(2d), d = common cross-neighbours of the
-    same-side pair.
+    same-side pair.  Every vertex of `a_verts` precedes every vertex of
+    `b_verts`, and `missing` lists absent cross pairs (a, b).
 
     With `saturate`, the missing matching is augmented with virtual missing
     edges until it saturates the smaller side; this is the regime the weights
     are proved feasible in, and dropping extra cross edges keeps the packing
     valid in the denser true host.
     """
-    a_verts = range(n_a)
-    b_verts = range(n_a, n_a + n_b)
     if saturate:
         missing = set(missing)
         free_a = [a for a in a_verts if all(a not in e for e in missing)]
         free_b = [b for b in b_verts if all(b not in e for e in missing)]
-        if n_a <= n_b:
-            missing.update(zip(free_a, free_b))
-        else:
-            missing.update((a, b) for b, a in zip(free_b, free_a))
+        missing.update(zip(free_a, free_b))
     adj = {
         (a, b): (a, b) not in missing for a in a_verts for b in b_verts
     }
@@ -234,22 +229,22 @@ def ab_packing(
     for a, b in missing:
         if not (0 <= a < n_a <= b < n_a + n_b):
             raise ValueError(f"missing edge ({a}, {b}) is not a cross pair")
-    a_verts = list(range(n_a))
-    b_verts = list(range(n_a, n_a + n_b))
+    a_verts = range(n_a)
+    b_verts = range(n_a, n_a + n_b)
 
     if case == "a":
         if not (2 <= n_a <= n_b <= n_a + 2):
             raise ValueError(f"case a needs 2 <= |A| <= |B| <= |A|+2, got {n_a}, {n_b}")
         if missing:
             raise ValueError("case a needs a complete cross graph")
-        packing = _matching_weights(n_a, n_b, missing)
+        packing = _matching_weights(a_verts, b_verts, missing)
     elif case == "b":
         if not (3 <= n_a <= n_b <= n_a + 1):
             raise ValueError(f"case b needs 3 <= |A| <= |B| <= |A|+1, got {n_a}, {n_b}")
         ends = [v for e in missing for v in e]
         if len(set(ends)) != len(ends):
             raise ValueError("case b needs the missing edges to form a matching")
-        packing = _matching_weights(n_a, n_b, missing, saturate=True)
+        packing = _matching_weights(a_verts, b_verts, missing, saturate=True)
     elif case == "c":
         packing = _two_edges_at_a(n_a, n_b, missing)
     elif case == "d":
@@ -258,8 +253,7 @@ def ab_packing(
         raise ValueError(f"unknown case {case!r}")
 
     g = _host(n_a + n_b, missing)
-    packing.check_feasible(g)
-    _check_two_blob(packing, n_a, n_b, missing)
+    _check_blob_packing(packing, g, (a_verts, b_verts), (HALF, HALF))
     return g, packing
 
 
@@ -350,16 +344,15 @@ def abc_packing(
     """
     if n_b not in (3, 4) or n_c not in (3, 4):
         raise ValueError(f"need |B|, |C| in {{3, 4}}, got {n_b}, {n_c}")
-    n_a = 2
-    b_lo, b_hi = n_a, n_a + n_b
-    n = n_a + n_b + n_c
+    n = 2 + n_b + n_c
+    a_verts, b_verts, c_verts = range(2), range(2, 2 + n_b), range(2 + n_b, n)
     m_ab = {norm_edge(e) for e in missing_ab}
     m_bc = {norm_edge(e) for e in missing_bc}
     for a, b in m_ab:
-        if not (a < n_a <= b < b_hi):
+        if not (a in a_verts and b in b_verts):
             raise ValueError(f"({a}, {b}) is not an A-B pair")
     for b, c in m_bc:
-        if not (b_lo <= b < b_hi <= c < n):
+        if not (b in b_verts and c in c_verts):
             raise ValueError(f"({b}, {c}) is not a B-C pair")
     if len(m_bc) > 2:
         raise ValueError("at most two missing edges between B and C")
@@ -369,15 +362,14 @@ def abc_packing(
 
     # augment with virtual missing edges so every B vertex misses exactly one
     # cross edge; a packing of the sparser graph remains valid
-    m_ab, m_bc = set(m_ab), set(m_bc)
     want_bc = 2 if (len(m_bc) == 2 or n_b == 4) else 1
-    free_b = [b for b in range(b_lo, b_hi) if all(b not in e for e in m_ab | m_bc)]
-    free_c = [c for c in range(b_hi, n) if all(c not in e for e in m_bc)]
-    free_a = [a for a in range(n_a) if all(a not in e for e in m_ab)]
+    free_b = [b for b in b_verts if all(b not in e for e in m_ab | m_bc)]
+    free_c = [c for c in c_verts if all(c not in e for e in m_bc)]
+    free_a = [a for a in a_verts if all(a not in e for e in m_ab)]
     while len(m_bc) < want_bc and free_b:
-        m_bc.add(norm_edge((free_b.pop(), free_c.pop())))
+        m_bc.add((free_b.pop(), free_c.pop()))
     while free_b and free_a:
-        m_ab.add(norm_edge((free_a.pop(), free_b.pop())))
+        m_ab.add((free_a.pop(), free_b.pop()))
     assert not free_b and len(m_ab) == n_b - want_bc and len(m_bc) == want_bc
 
     weights: dict = {}
@@ -387,15 +379,14 @@ def abc_packing(
             t = tuple(sorted(t))
             weights[t] = weights.get(t, ZERO) + w
 
-    missing = m_ab | m_bc
-    b_primed = sorted({b for b in range(b_lo, b_hi) if any(b in e for e in m_ab)})
+    b_primed = sorted({b for b in b_verts if any(b in e for e in m_ab)})
 
     if n_b == 4:
         b1, b2 = b_primed
-        b_rest = [b for b in range(b_lo, b_hi) if b not in b_primed]
-        for a in range(n_a):
+        b_rest = [b for b in b_verts if b not in b_primed]
+        for a in a_verts:
             for bp in b_primed:
-                if norm_edge((a, bp)) in m_ab:
+                if (a, bp) in m_ab:
                     continue
                 for b in b_rest:
                     add((a, bp, b), HALF)
@@ -403,83 +394,47 @@ def abc_packing(
                 add((a, b, b2_), Fraction(1, 4))
         for b in b_rest:
             add((0, 1, b), Fraction(1, 4))
-        _add_c_side(add, n_a, n_b, n_c, m_bc, b1, b2, n)
+        _add_c_side(add, b_verts, c_verts, m_bc, b1, b2)
     else:
         if len(m_ab) == 2:
             # two A-B missing edges and one B-C: three cross triangles at 1/2
             b1, b2 = b_primed
-            (b3,) = [b for b in range(b_lo, b_hi) if b not in b_primed]
-            for a in range(n_a):
+            (b3,) = [b for b in b_verts if b not in b_primed]
+            for a in a_verts:
                 for bp in b_primed:
-                    if norm_edge((a, bp)) not in m_ab:
+                    if (a, bp) not in m_ab:
                         add((a, bp, b3), HALF)
             add((0, 1, b3), HALF)
-            _add_c_side(add, n_a, n_b, n_c, m_bc, b1, b2, n)
+            _add_c_side(add, b_verts, c_verts, m_bc, b1, b2)
         else:
             # one A-B missing edge and two B-C: 1/2 on the triangles at the
             # primed B vertex, 1/4 elsewhere, then a plain matching packing
             (b3,) = b_primed
-            (a_ok,) = [a for a in range(n_a) if norm_edge((a, b3)) not in m_ab]
-            b_rest = [b for b in range(b_lo, b_hi) if b != b3]
+            (a_ok,) = [a for a in a_verts if (a, b3) not in m_ab]
+            b_rest = [b for b in b_verts if b != b3]
             for b in b_rest:
                 add((a_ok, b3, b), HALF)
-            for a in range(n_a):
+            for a in a_verts:
                 add((a, b_rest[0], b_rest[1]), Fraction(1, 4))
             for b in b_rest:
                 add((0, 1, b), Fraction(1, 4))
-            sub = _matching_weights_at(n_b, n_c, b_lo, b_hi, n, m_bc)
-            for t, w in sub.items():
+            sub = _matching_weights(b_verts, c_verts, m_bc, saturate=True)
+            for t, w in sub.weights.items():
                 add(t, w)
 
-    absent = missing | {(a, c) for a in range(n_a) for c in range(b_hi, n)}
+    absent = m_ab | m_bc | {(a, c) for a in a_verts for c in c_verts}
     g = _host(n, absent)
     packing = FractionalPacking(RED, dict(weights))
-    packing.check_feasible(g)
-    _check_three_blob(packing, n_a, b_lo, b_hi, n, missing)
+    _check_blob_packing(packing, g, (a_verts, b_verts, c_verts), (HALF, ONE, HALF))
     return g, packing
 
 
-def _add_c_side(add, n_a, n_b, n_c, m_bc, b1, b2, n) -> None:
+def _add_c_side(add, b_verts, c_verts, m_bc, b1, b2) -> None:
     """Average of two matching packings of G[B, C], each avoiding one edge
     b_i c, plus the b1 b2 c triangle at 1/2."""
-    b_lo, b_hi = n_a, n_a + n_b
-    c = next(
-        v for v in range(b_hi, n) if all(v not in e for e in m_bc)
-    )
+    c = next(v for v in c_verts if all(v not in e for e in m_bc))
     add((b1, b2, c), HALF)
     for bi in (b1, b2):
-        sub = _matching_weights_at(
-            n_b, n_c, b_lo, b_hi, n, m_bc | {norm_edge((bi, c))}
-        )
-        for t, w in sub.items():
+        sub = _matching_weights(b_verts, c_verts, m_bc | {(bi, c)}, saturate=True)
+        for t, w in sub.weights.items():
             add(t, w / 2)
-
-
-def _matching_weights_at(
-    n_b: int, n_c: int, b_lo: int, b_hi: int, n: int, missing: set[Edge]
-) -> dict:
-    """Matching-case two-blob weights between B and C at their true offsets."""
-    packing = _matching_weights(
-        n_b, n_c, {(b - b_lo, c - b_lo) for b, c in missing}, saturate=True
-    )
-    return {
-        tuple(sorted(v + b_lo for v in t)): w for t, w in packing.weights.items()
-    }
-
-
-def _check_three_blob(
-    packing: FractionalPacking, n_a: int, b_lo: int, b_hi: int, n: int, missing
-) -> None:
-    loads = packing.edge_loads()
-    blob = lambda v: 0 if v < n_a else (1 if v < b_hi else 2)
-    for t in packing.weights:
-        assert len({blob(v) for v in t}) == 2, f"non-cross triangle {t}"
-    for part, want in (
-        (range(n_a), HALF),
-        (range(b_lo, b_hi), Fraction(1)),
-        (range(b_hi, n), HALF),
-    ):
-        for e in combinations(part, 2):
-            assert loads.get(e, ZERO) == want, f"edge {e}: {loads.get(e)} != {want}"
-    for e, load in loads.items():
-        assert load <= 1, f"edge {e} overloaded: {load}"

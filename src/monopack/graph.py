@@ -78,6 +78,17 @@ class ColoredGraph:
     def color_of(self, i: int, j: int) -> str:
         return self.colors[edge_index(self.n, i, j)]
 
+    def triangle_colors(self, i: int, j: int, k: int) -> str:
+        """The colours of ij, ik and jk; ValueError unless 0 <= i < j < k < n."""
+        n = self.n
+        if not 0 <= i < j < k < n:
+            raise ValueError(f"triangle {(i, j, k)} needs 0 <= i < j < k < {n}")
+        # edge_index without its checks: row r starts at r*(2n-r-1)//2 - r - 1
+        row_i = i * (2 * n - i - 1) // 2 - i - 1
+        row_j = j * (2 * n - j - 1) // 2 - j - 1
+        c = self.colors
+        return c[row_i + j] + c[row_i + k] + c[row_j + k]
+
     @property
     def is_complete(self) -> bool:
         return UNASSIGNED not in self.colors

@@ -93,12 +93,11 @@ class FractionalPacking:
         if self.color not in COLORS:
             raise ValueError(f"colour must be one of {COLORS}, got {self.color!r}")
         d, scaled = _over_one_denominator(self.weights.values())
+        mono = self.color * 3
         loads: dict[Edge, int] = {}
         for t, w in zip(self.weights, scaled):
             i, j, k = t
-            if not 0 <= i < j < k < g.n:
-                raise ValueError(f"triangle {t} needs 0 <= i < j < k < {g.n}")
-            if not g.color_of(i, j) == g.color_of(i, k) == g.color_of(j, k) == self.color:
+            if g.triangle_colors(i, j, k) != mono:
                 raise ValueError(f"triangle {t} is not {self.color}-monochromatic")
             if not 0 <= w <= d:
                 raise ValueError(f"triangle {t} has weight {Fraction(w, d)} outside [0, 1]")
@@ -250,30 +249,17 @@ def pack(g: ColoredGraph) -> PackValue:
     return PackValue(3 * (red.primal_value + blue.primal_value), red, blue)
 
 
-@dataclass(frozen=True)
-class ExceedCertificate:
-    """Two exact feasible packings whose combined edge weight beats a threshold."""
-
-    red: FractionalPacking
-    blue: FractionalPacking
-    threshold: Fraction
-
-    def check(self, g: ColoredGraph) -> None:
-        if certified_exceeds(g, self.threshold, self.red, self.blue) is None:
-            raise ValueError("certificate does not exceed its threshold")
-
-
 def certified_exceeds(
     g: ColoredGraph, threshold: Fraction, red: FractionalPacking, blue: FractionalPacking
-) -> ExceedCertificate | None:
-    """Sound pruning test: a certificate that the packings `red` and `blue` of
-    g's assigned part strictly exceed `threshold`, or None.  Both packings are
-    checked, so it is never a false positive; an infeasible one raises ValueError.
+) -> Fraction | None:
+    """Sound pruning test: the total 3 * (nu(red) + nu(blue)) of the packings
+    `red` and `blue` of g's assigned part if it strictly exceeds `threshold`,
+    else None.  Both packings are checked and the total is the value those
+    checks return, so it is never a false positive; an infeasible packing
+    raises ValueError.
     """
-    threshold = Fraction(threshold)
-    if not 3 * (red.check_feasible(g) + blue.check_feasible(g)) > threshold:
-        return None
-    return ExceedCertificate(red, blue, threshold)
+    total = 3 * (red.check_feasible(g) + blue.check_feasible(g))
+    return total if total > Fraction(threshold) else None
 
 
 # -- prescribed edge loads -----------------------------------------------

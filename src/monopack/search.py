@@ -215,10 +215,10 @@ def settle(node: SearchNode, threshold: Fraction) -> tuple[SearchNode, int]:
     return node, solves
 
 
-def prune(node: SearchNode, threshold: Fraction):
-    """An exceed certificate if the node's packings beat the threshold, else
-    None; exact only.  On a settled node this cuts exactly when pack of the
-    assigned part exceeds the threshold."""
+def prune(node: SearchNode, threshold: Fraction) -> Fraction | None:
+    """The checked total weight of the node's packings if it beats the
+    threshold, else None; exact only.  On a settled node this cuts exactly
+    when pack of the assigned part exceeds the threshold."""
     if 3 * (node.red.lo + node.blue.lo) <= threshold:
         return None
     return certified_exceeds(node.graph, threshold, node.red.packing, node.blue.packing)

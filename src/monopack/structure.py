@@ -30,6 +30,18 @@ RED_WINDOW = (0, 2, 3)
 BLUE_WINDOW = (0, 1, 2)
 
 
+def _edge_set(n: int, edges) -> set[Edge]:
+    """The edges as (smaller, larger) pairs; ValueError on a loop or on a
+    vertex outside 0..n-1."""
+    out = set()
+    for e in edges:
+        i, j = norm_edge(e)
+        if i < 0 or j >= n:
+            raise ValueError(f"vertex out of range for n={n}: ({i}, {j})")
+        out.add((i, j))
+    return out
+
+
 def _adjacency(n: int, edges) -> list[set[int]]:
     adj: list[set[int]] = [set() for _ in range(n)]
     for i, j in edges:
@@ -51,11 +63,10 @@ class BipartitionCert:
         if self.part1 & self.part2 or (self.part1 | self.part2) != set(range(n)):
             return False
         for e in edges:
-            e = norm_edge(e)
-            if e in self.removed_edges:
-                continue
-            i, j = e
-            if (i in self.part1) == (j in self.part1):
+            i, j = e = norm_edge(e)
+            if i < 0 or j >= n:
+                return False
+            if e not in self.removed_edges and (i in self.part1) == (j in self.part1):
                 return False
         return True
 
@@ -125,7 +136,7 @@ def bip_distance_at_most(n: int, edges, k: int) -> BipartitionCert | None:
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    edge_set = {norm_edge(e) for e in edges}
+    edge_set = _edge_set(n, edges)
 
     def rec(current: set[Edge], budget: int) -> set[Edge] | None:
         adj = _adjacency(n, current)
@@ -165,7 +176,7 @@ def min_bipartition_deletions(n: int, edges) -> int:
     """
     if not 1 <= n <= 28:
         raise ValueError(f"n={n} outside supported range 1..28")
-    edge_list = sorted({norm_edge(e) for e in edges})
+    edge_list = sorted(_edge_set(n, edges))
     if not edge_list:
         return 0
     a = n // 2

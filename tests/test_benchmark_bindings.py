@@ -2,19 +2,30 @@
 
 `perfbench/tracing.py` replaces each `TARGETS` binding through
 `owner.__dict__[attr]`, so a renamed or moved function breaks `--trace 1`
-with a KeyError.  This test only reads `perfbench/`; it does not run it.
+with a KeyError.  It counts a cut or a pentagon hit when the traced call
+returns something other than None, so `prune` and `pentagon_distance` must
+return None exactly when they do not cut or match.  These tests only read
+`perfbench/`; they do not run its workloads.
 """
 
 import importlib.util
 import os
 
+from monopack.constructions import BlobSpec, pentagon_blowup
+from monopack.search import PentagonFilter, SearchConfig, run_search
+
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
 
 
-def test_every_traced_binding_exists():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_binding_exists():
+    tracing = load_tracing()
     assert tracing.TARGETS
     missing = [
         f"{getattr(owner, '__name__', owner)}.{attr}"
@@ -22,3 +33,18 @@ def test_every_traced_binding_exists():
         if not callable(owner.__dict__.get(attr))
     ]
     assert not missing, missing
+
+
+def test_traced_hits_match_the_search_report():
+    # the smoke extension: a 7-vertex blow-up extended to n = 8
+    tracing = load_tracing()
+    g, _ = pentagon_blowup(BlobSpec((1, 1, 1, 2, 2)))
+    cfg = SearchConfig(n_end=8, filters={8: PentagonFilter(max_flips=1)})
+    tracer = tracing.Tracer()
+    with tracer.patch():
+        _, report = run_search([g], cfg)
+    spans, _, _ = tracing.summarize(tracer.spans)
+    levels = report.levels.values()
+    assert spans["prune"]["hits"] == sum(s.pruned for s in levels) > 0
+    assert spans["pentagon"]["calls"] == sum(s.completed for s in levels) > 0
+    assert spans["pentagon"]["hits"] == sum(s.filtered for s in levels) > 0

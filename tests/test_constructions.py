@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from monopack import constructions
 from monopack.constructions import (
     B1,
     B2,
@@ -17,7 +18,7 @@ from monopack.constructions import (
     pentagon_pack_closed_form,
 )
 from monopack.graph import BLUE, RED, ColoredGraph
-from monopack.lp import pack
+from monopack.lp import FractionalPacking, pack
 
 F = Fraction
 
@@ -164,6 +165,60 @@ def test_ab_case_d_all_two_matchings():
 def test_ab_unknown_case():
     with pytest.raises(ValueError):
         ab_packing("e", 3, 3)
+
+
+def tampered_ab_packing(monkeypatch, case, missing, tamper):
+    """ab_packing(case, 3, 3, missing) with its matching weights edited by
+    `tamper` before the postconditions are checked."""
+    build = constructions._matching_weights
+
+    def tampered(*args, **kwargs):
+        weights = dict(build(*args, **kwargs).weights)
+        tamper(weights)
+        return FractionalPacking(RED, weights)
+
+    monkeypatch.setattr(constructions, "_matching_weights", tampered)
+    return ab_packing(case, 3, 3, missing)
+
+
+def test_blob_checker_rejects_an_absent_pair(monkeypatch):
+    # (0, 3) is absent, so (0, 1, 3) is not red; the inside loads and the
+    # cross-only rule still hold, so only the feasibility check sees it
+    def move(weights):
+        weights[(0, 1, 3)] = weights.pop((0, 1, 5))
+
+    with pytest.raises(ValueError, match="not R-monochromatic"):
+        tampered_ab_packing(monkeypatch, "b", [(0, 3)], move)
+
+
+def test_blob_checker_rejects_a_non_cross_triangle(monkeypatch):
+    # trade the three cross triangles at vertex 3 over A's edges for the
+    # triangle A itself: every load stays feasible and every A edge at 1/2
+    def trade(weights):
+        for t in ((0, 1, 3), (0, 2, 3), (1, 2, 3)):
+            del weights[t]
+        weights[(0, 1, 2)] = F(1, 6)
+
+    with pytest.raises(AssertionError, match="non-cross triangle"):
+        tampered_ab_packing(monkeypatch, "a", [], trade)
+
+
+def test_blob_checker_rejects_an_inside_load_off_by_a_sixth(monkeypatch):
+    def raise_one(weights):
+        weights[(0, 1, 3)] += F(1, 6)
+
+    with pytest.raises(AssertionError, match="inside edge"):
+        tampered_ab_packing(monkeypatch, "a", [], raise_one)
+    monkeypatch.undo()
+    # the middle blob of the three-blob case must carry exactly 1
+    g, packing = abc_packing(3, 3, [(0, 2)], [(3, 5)])
+    blobs = (range(2), range(2, 5), range(5, 8))
+    inside = (F(1, 2), F(1), F(1, 2))
+    constructions._check_blob_packing(packing, g, blobs, inside)
+    weights = dict(packing.weights)
+    weights[(1, 2, 3)] -= F(1, 6)
+    with pytest.raises(AssertionError, match=r"inside edge \(2, 3\)"):
+        constructions._check_blob_packing(FractionalPacking(RED, weights), g, blobs, inside)
 
 
 # -- three-blob packings ----------------------------------------------------

@@ -17,7 +17,7 @@ from monopack.lp import (
     solve_loads,
     triangle_edges,
 )
-from monopack.structure import bip_distance_at_most
+from monopack.structure import bip_distance_at_most, e_bip, min_bipartition_deletions
 
 F = Fraction
 
@@ -142,9 +142,7 @@ def test_certified_exceeds_is_strict_and_sound():
     p = pack(g)
     # pack = 3, not > 3
     assert certified_exceeds(g, F(3), p.red.packing, p.blue.packing) is None
-    cert = certified_exceeds(g, F(5, 2), p.red.packing, p.blue.packing)
-    assert cert is not None
-    cert.check(g)
+    assert certified_exceeds(g, F(5, 2), p.red.packing, p.blue.packing) == p.value
     k4 = ColoredGraph.monochromatic(4)
     q = pack(k4)
     assert certified_exceeds(k4, F(100), q.red.packing, q.blue.packing) is None
@@ -270,6 +268,14 @@ def test_loop_edge_rejected():
         integer_nu(3, out_of_range)
     with pytest.raises(ValueError, match="out of range"):
         prescribed_packing(3, {(2, 5): F(1, 2)})
+    with pytest.raises(ValueError, match="out of range"):
+        min_bipartition_deletions(4, [(0, 7)])
+    with pytest.raises(ValueError, match="out of range"):
+        e_bip(4, [(0, 7)])
+    with pytest.raises(ValueError, match="out of range"):
+        bip_distance_at_most(3, [(0, 5)], 1)
+    with pytest.raises(ValueError, match="out of range"):
+        min_bipartition_deletions(4, [(-1, 2)])
 
 
 def test_integer_at_most_fractional_small_random():

@@ -79,6 +79,9 @@ def test_bipartition_cert_check_rejects_tampering():
     assert not bad.check(3, edges)
     not_partition = BipartitionCert(frozenset({0}), frozenset({1}), cert.removed_edges)
     assert not not_partition.check(3, edges)
+    # an edge with a vertex outside 0..n-1 is never accepted
+    assert not BipartitionCert({0}, {1, 2}, {}).check(3, [(0, 7)])
+    assert not BipartitionCert({0}, {1, 2}, {}).check(3, [(-1, 0)])
 
 
 def test_e_bip_values():
