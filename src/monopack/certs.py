@@ -27,7 +27,9 @@ non-negative, every monochromatic triangle of the colour is covered to at
 least 1, and the total weight is at most the claim.
 
 A <p/q> is what `str(Fraction)` writes: an optional `-`, digits, optionally
-`/` and digits.  Decimal points and exponents are rejected.
+`/` and digits.  Decimal points and exponents are rejected.  Vertex numbers
+and the vertex count are ASCII digits only, with no sign; the graph line is
+read by `graph.parse`, as a graph file is.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .graph import BLUE, RED, ColoredGraph, GraphFormatError
+from .graph import BLUE, RED, ColoredGraph, GraphFormatError, parse_decimal
+from .graph import parse as parse_graph
 from .lp import FractionalCover, FractionalPacking
 
 PACKCERT_HEADER = "PACKCERT v1"
@@ -53,11 +56,10 @@ def _graph_line(g: ColoredGraph) -> str:
 def _parse_graph_line(line: str) -> ColoredGraph:
     if not line.startswith("graph: n="):
         raise CertFormatError(f"expected 'graph: n=<k> <colours>', got {line!r}")
-    body = line[len("graph: ") :]
+    count, _, colors = line[len("graph: ") :].partition(" ")
     try:
-        n_part, colors = body.split(" ", 1) if " " in body else (body, "")
-        return ColoredGraph(int(n_part[2:]), colors)
-    except (ValueError, GraphFormatError) as exc:
+        return parse_graph(f"{count}\n{colors}")
+    except GraphFormatError as exc:
         raise CertFormatError(f"bad graph line: {exc}") from exc
 
 
@@ -95,7 +97,7 @@ def parse_packcert(text: str):
         if len(parts) != 5 or parts[0] not in (RED, BLUE):
             raise CertFormatError(f"bad triangle line {ln!r}")
         try:
-            t = tuple(int(p) for p in parts[1:4])
+            t = tuple(parse_decimal(p) for p in parts[1:4])
         except ValueError:
             raise CertFormatError(f"bad triangle line {ln!r}") from None
         if t in weights[parts[0]]:
@@ -156,7 +158,7 @@ def parse_covercert(text: str):
         if len(parts) != 3:
             raise CertFormatError(f"bad edge line {ln!r}")
         try:
-            e = (int(parts[0]), int(parts[1]))
+            e = (parse_decimal(parts[0]), parse_decimal(parts[1]))
         except ValueError:
             raise CertFormatError(f"bad edge line {ln!r}") from None
         if not 0 <= e[0] < e[1] < g.n:

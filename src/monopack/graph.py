@@ -9,6 +9,7 @@ is being attached to a complete colouring.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -17,6 +18,8 @@ BLUE = "B"
 UNASSIGNED = "."
 
 COLORS = (RED, BLUE)
+# matches the longest well-formed prefix of a colour string
+_COLOUR_RUN = re.compile("[" + re.escape(RED + BLUE + UNASSIGNED) + "]*")
 
 Triangle = tuple[int, int, int]
 Edge = tuple[int, int]
@@ -48,6 +51,15 @@ def norm_edge(e) -> Edge:
     if i == j:
         raise ValueError(f"loop edge ({i}, {j})")
     return (i, j) if i < j else (j, i)
+
+
+def parse_decimal(text: str) -> int:
+    """The value of text, which must be ASCII digits 0-9 only; ValueError on
+    a sign, `_`, surrounding space or another script's digits, which `int`
+    would accept."""
+    if not (text.isascii() and text.isdecimal()):
+        raise ValueError(f"not a decimal number: {text!r}")
+    return int(text)
 
 
 def all_edges(n: int) -> list[Edge]:
@@ -218,10 +230,12 @@ def parse(text: str) -> ColoredGraph:
     lines = text.splitlines()
     if not lines or not lines[0].startswith("n="):
         raise GraphFormatError("first line must be 'n=<decimal>'", 0)
+    count = lines[0][2:]
     try:
-        n = int(lines[0][2:])
+        # a leading '-' is read too, so that a negative count is reported as such
+        n = -parse_decimal(count[1:]) if count.startswith("-") else parse_decimal(count)
     except ValueError:
-        raise GraphFormatError(f"bad vertex count {lines[0][2:]!r}", 2) from None
+        raise GraphFormatError(f"bad vertex count {count!r}", 2) from None
     if n < 0:
         raise GraphFormatError("vertex count must be non-negative", 2)
     m = n * (n - 1) // 2
@@ -230,9 +244,9 @@ def parse(text: str) -> ColoredGraph:
         raise GraphFormatError(
             f"colour string has length {len(body)}, expected {m}", len(lines[0]) + 1
         )
-    for k, ch in enumerate(body):
-        if ch not in (RED, BLUE, UNASSIGNED):
-            raise GraphFormatError(f"invalid colour {ch!r}", len(lines[0]) + 1 + k)
+    k = _COLOUR_RUN.match(body).end()
+    if k < m:
+        raise GraphFormatError(f"invalid colour {body[k]!r}", len(lines[0]) + 1 + k)
     if any(line.strip() for line in lines[2:]):
         raise GraphFormatError("trailing content after colour string", len(lines[0]) + 1 + m)
     return ColoredGraph(n, body)

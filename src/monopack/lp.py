@@ -10,8 +10,8 @@ check runs in integers over one common denominator and returns the value it
 has just verified, so no consumer sums the weights again.
 
 `solve_loads` is the one solver for triangle weights with prescribed edge
-loads; `frac_decomposition`, `prescribed_packing` and the two-blob
-constructions all go through it.
+loads; `prescribed_packing` (with `frac_decomposition`, its case of load 1
+on every edge) and the two-blob constructions all go through it.
 
 Scaling conventions: `nu_star` values are sums of triangle weights; the
 total edge weight of a colouring (the quantity thresholded by the search) is
@@ -307,26 +307,15 @@ def frac_decomposition(n: int, edges):
     where farkas maps edges to rationals with sum_{e in T} y_e >= 0 for every
     triangle T and sum_e y_e < 0.
     """
-    es = sorted({norm_edge(e) for e in edges})
-    if not es:
-        return FractionalPacking(RED, {}), None
-    triangles = ColoredGraph.from_red_edges(n, es).monochromatic_triangles(RED)
-    in_some = {e for t in triangles for e in triangle_edges(t)}
-    uncovered = [e for e in es if e not in in_some]
-    if uncovered:
-        # an edge in no triangle can never reach weight 1
-        farkas = {e: Fraction(-1) if e == uncovered[0] else ZERO for e in es}
-        return None, farkas
-    return solve_loads(triangles, dict.fromkeys(es, ONE), {})
+    return prescribed_packing(n, dict.fromkeys(map(norm_edge, edges), ONE))
 
 
 def prescribed_packing(n: int, demand: dict[Edge, Fraction]):
     """Packing of K_n whose edge weights equal `demand` exactly, if one exists.
 
-    Returns (packing, None) or (None, farkas) as in `frac_decomposition`.
+    Returns (packing, None) or (None, farkas) as in `frac_decomposition`,
+    with sum_e y_e * demand_e < 0.
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
     demand = {norm_edge(e): Fraction(v) for e, v in demand.items()}
     for e, v in demand.items():
         if not (0 <= v <= 1):
@@ -336,6 +325,12 @@ def prescribed_packing(n: int, demand: dict[Edge, Fraction]):
         return FractionalPacking(RED, {}), None
     # a triangle through a zero-demand edge can carry no weight
     triangles = ColoredGraph.from_red_edges(n, es).monochromatic_triangles(RED)
+    in_some = {e for t in triangles for e in triangle_edges(t)}
+    uncovered = [e for e in es if e not in in_some]
+    if uncovered:
+        # a demanded edge in no triangle can never be loaded
+        farkas = {e: Fraction(-1) if e == uncovered[0] else ZERO for e in es}
+        return None, farkas
     return solve_loads(triangles, {e: demand[e] for e in es}, {})
 
 

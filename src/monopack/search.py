@@ -47,10 +47,18 @@ def default_threshold(n: int) -> Fraction:
 class PentagonFilter:
     max_flips: int = 1
 
+    def __post_init__(self):
+        if self.max_flips not in (0, 1):
+            raise ValueError("max_flips must be 0 or 1")
+
 
 @dataclass(frozen=True)
 class BipartiteFilter:
     k: int = 2
+
+    def __post_init__(self):
+        if self.k < 0:
+            raise ValueError("k must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -265,6 +273,9 @@ def run_search(
     Survivors are exactly the colourings whose certified pack value stays
     within the threshold and which pass the configured structural filters.
     """
+    for n, level_filter in cfg.filters.items():
+        if isinstance(level_filter, PentagonFilter) and n < 5:
+            raise ValueError(f"pentagon filter at level {n}: blow-ups need at least 5 vertices")
     if state is None:
         if not seeds:
             raise ValueError("need at least one seed")

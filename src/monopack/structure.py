@@ -4,6 +4,13 @@ configurations around an apex vertex.
 Simple (uncoloured) graphs, such as a single colour class, are passed around
 as a vertex count together with an edge list.
 
+Distance at most k to bipartite is decided by branching, to depth k, over
+the edges of an odd cycle: a breadth-first 2-colouring either succeeds,
+which gives the partition, or finds an odd cycle.  Every deletion set that
+makes the graph bipartite meets every odd cycle, so any odd cycle the
+search finds, shortest or not, loses no deletion set and the decision is
+exact.
+
 A pentagon blow-up is a partition of the vertices into five non-empty blobs
 A_0, ..., A_4 with every A_i - A_{i+1} edge red and every A_i - A_{i+2} edge
 blue (indices mod 5); edges inside blobs are unconstrained.  Distance at
@@ -42,14 +49,6 @@ def _edge_set(n: int, edges) -> set[Edge]:
     return out
 
 
-def _adjacency(n: int, edges) -> list[set[int]]:
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for i, j in edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    return adj
-
-
 # -- distance to bipartite -------------------------------------------------
 
 
@@ -62,108 +61,80 @@ class BipartitionCert:
     def check(self, n: int, edges) -> bool:
         if self.part1 & self.part2 or (self.part1 | self.part2) != set(range(n)):
             return False
-        for e in edges:
-            i, j = e = norm_edge(e)
-            if i < 0 or j >= n:
-                return False
-            if e not in self.removed_edges and (i in self.part1) == (j in self.part1):
-                return False
-        return True
+        try:
+            edge_set = _edge_set(n, edges)
+        except ValueError:
+            return False
+        return all(
+            e in self.removed_edges or (e[0] in self.part1) != (e[1] in self.part1)
+            for e in edge_set
+        )
 
 
-def _two_coloring(n: int, adj) -> list[int] | None:
-    """Side (0/1) per vertex if bipartite, else None."""
+def _odd_cycle(n: int, edges) -> tuple[list[int] | None, list[int] | None]:
+    """(side, None) with a side (0/1) per vertex if the graph is bipartite,
+    else (None, cycle) with the vertex list of an odd cycle.
+
+    A breadth-first 2-colouring; the first edge whose ends got the same side
+    joins two vertices at the same depth, so it closes their tree paths up
+    to their nearest common ancestor into a simple cycle of odd length.
+    """
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
     side = [-1] * n
+    parent = [-1] * n
     for s in range(n):
         if side[s] >= 0:
             continue
         side[s] = 0
         queue = [s]
-        while queue:
-            v = queue.pop()
+        for v in queue:  # the loop also visits the vertices it appends
             for u in adj[v]:
                 if side[u] < 0:
                     side[u] = 1 - side[v]
-                    queue.append(u)
-                elif side[u] == side[v]:
-                    return None
-    return side
-
-
-def _shortest_odd_cycle(n: int, adj) -> list[int] | None:
-    """Vertex list of a shortest odd cycle, or None if bipartite."""
-    best: list[int] | None = None
-    for s in range(n):
-        dist = [-1] * n
-        parent = [-1] * n
-        dist[s] = 0
-        queue = [s]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            for u in adj[v]:
-                if dist[u] < 0:
-                    dist[u] = dist[v] + 1
                     parent[u] = v
                     queue.append(u)
-        for v in range(n):
-            if dist[v] < 0:
-                continue
-            for u in adj[v]:
-                if u < v or dist[u] < 0 or dist[u] != dist[v]:
-                    continue
-                # same-level edge closes an odd walk; peel to the split point
-                pa, pb = v, u
-                path_a, path_b = [v], [u]
-                while pa != pb:
-                    pa, pb = parent[pa], parent[pb]
-                    path_a.append(pa)
-                    path_b.append(pb)
-                if len(set(path_a) | set(path_b)) != len(path_a) + len(path_b) - 1:
-                    continue
-                cycle = path_a + path_b[-2::-1]
-                if best is None or len(cycle) < len(best):
-                    best = cycle
-    return best
+                elif side[u] == side[v]:
+                    path_v, path_u = [v], [u]
+                    while path_v[-1] != path_u[-1]:
+                        path_v.append(parent[path_v[-1]])
+                        path_u.append(parent[path_u[-1]])
+                    return None, path_v + path_u[-2::-1]
+    return side, None
 
 
 def bip_distance_at_most(n: int, edges, k: int) -> BipartitionCert | None:
     """Certificate that at most k edge deletions make the graph bipartite.
 
-    Exact decision: branches over the edges of a shortest odd cycle, which
-    every valid deletion set must intersect, to depth k.
+    Exact decision: every valid deletion set meets every odd cycle, so it
+    suffices to branch, to depth k, over the edges of the one odd cycle the
+    breadth-first 2-colouring finds.  The 2-colouring of the leaf that
+    succeeds is the certificate's partition.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     edge_set = _edge_set(n, edges)
 
-    def rec(current: set[Edge], budget: int) -> set[Edge] | None:
-        adj = _adjacency(n, current)
-        cycle = _shortest_odd_cycle(n, adj)
+    def rec(current: set[Edge], budget: int) -> list[int] | None:
+        side, cycle = _odd_cycle(n, current)
         if cycle is None:
-            return set()
+            return side
         if budget == 0:
             return None
-        m = len(cycle)
-        for t in range(m):
-            e = norm_edge((cycle[t], cycle[(t + 1) % m]))
-            sub = rec(current - {e}, budget - 1)
-            if sub is not None:
-                sub.add(e)
-                return sub
+        for e in zip(cycle, cycle[1:] + cycle[:1]):
+            side = rec(current - {norm_edge(e)}, budget - 1)
+            if side is not None:
+                return side
         return None
 
-    removed = rec(edge_set, k)
-    if removed is None:
+    side = rec(edge_set, k)
+    if side is None:
         return None
-    side = _two_coloring(n, _adjacency(n, edge_set - removed))
-    assert side is not None
     part1 = frozenset(v for v in range(n) if side[v] == 0)
     part2 = frozenset(range(n)) - part1
-    internal = frozenset(
-        e for e in edge_set if (e[0] in part1) == (e[1] in part1)
-    )
+    internal = frozenset(e for e in edge_set if side[e[0]] == side[e[1]])
     return BipartitionCert(part1, part2, internal)
 
 

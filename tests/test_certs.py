@@ -164,6 +164,31 @@ def test_covercert_parse_errors():
             parse_covercert(head + body)
 
 
+def test_integer_fields_are_ascii_digits():
+    # int() accepts all of these; read as integers they would name vertices
+    for fields in ("+0 1 2", "0 1_0 2", "0 1 \u0662", "0 \u0661 2", "-0 1 2"):
+        ok, msg = verify_packcert(
+            f"PACKCERT v1\ngraph: n=3 RRR\nclaim: pack >= 3\nR {fields} 1\n"
+        )
+        assert not ok and "bad triangle line" in msg, fields
+    for fields in ("+0 1", "0 \u0661", "0 +1", "1_0 2"):
+        text = f"COVERCERT v1\ngraph: n=3 RRR\ncolor: R\nclaim: nustar <= 1\n{fields} 1\n"
+        with pytest.raises(CertFormatError, match="bad edge line"):
+            parse_covercert(text)
+        ok, msg = verify_covercert(text)
+        assert not ok and "bad edge line" in msg, fields
+    for count in ("+3", "\u0663", "3_0", " 3"):
+        ok, msg = verify_packcert(f"PACKCERT v1\ngraph: n={count} RRR\nclaim: pack >= 0\n")
+        assert not ok and "bad vertex count" in msg, count
+        ok, msg = verify_covercert(
+            f"COVERCERT v1\ngraph: n={count} RRR\ncolor: R\nclaim: nustar <= 0\n"
+        )
+        assert not ok and "bad vertex count" in msg, count
+    # the plain forms still read
+    ok, _ = verify_packcert("PACKCERT v1\ngraph: n=3 RRR\nclaim: pack >= 3\nR 0 1 2 1\n")
+    assert ok
+
+
 def test_negative_vertex_count_rejected():
     # n = -2 gives n(n-1)/2 = 3, the length of the colour string
     ok, msg = verify_packcert("PACKCERT v1\ngraph: n=-2 RRR\nclaim: pack >= 0\n")

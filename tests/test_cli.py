@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from monopack import search as search_mod
 from monopack.cli import _parse_threshold, main
 from monopack.graph import ColoredGraph
+from monopack.lp import nu_star
 
 
 def write_graph(tmp_path, g, name="g.txt"):
@@ -166,6 +168,21 @@ def test_search_cli(tmp_path, capsys):
     missing = os.path.join(tmp_path, "nope.json")
     assert main(["search", "--resume", missing, "--n-end", "6"]) == 2
     capsys.readouterr()
+
+
+def test_bad_filter_fails_before_the_search(capsys, monkeypatch):
+    calls = []
+
+    def counted(g, color):
+        calls.append(g)
+        return nu_star(g, color)
+
+    monkeypatch.setattr(search_mod, "nu_star", counted)
+    for spec in ("6:bip:-1", "2:pentagon"):
+        assert main(["search", "--n-end", "6", "--filter", spec]) == 3
+        out, err = capsys.readouterr()
+        assert '"level"' not in out and err, spec
+    assert calls == []
 
 
 def test_threshold_expression_is_restricted(capsys):

@@ -130,6 +130,12 @@ def test_parse_errors_carry_positions():
     assert err is not None and err.position == 5
     with pytest.raises(GraphFormatError):
         parse("n=3\nRRR\njunk")
+    # the vertex count is ASCII digits, or '-' and digits to report the sign
+    for count in ("+3", "\u0663", " 3", "3 ", "0x3", "3_0", ""):
+        with pytest.raises(GraphFormatError, match="bad vertex count"):
+            parse(f"n={count}\nRRR")
+    with pytest.raises(GraphFormatError, match="non-negative"):
+        parse("n=-2\nRRR")
 
 
 def test_neighbor_masks():

@@ -184,6 +184,10 @@ def test_prescribed_packing_roundtrip():
     # an isolated demanded edge is unreachable
     packing, farkas = prescribed_packing(4, {(0, 1): F(1, 2)})
     assert packing is None
+    # on K_2 the demanded edge is in no triangle: y = -1 there is the proof
+    packing, farkas = prescribed_packing(2, {(0, 1): F(1)})
+    assert packing is None and farkas == {(0, 1): -1}
+    assert_farkas(farkas, [], {(0, 1): F(1)}, {})
     # every demanded edge lies in the triangle 012, but its loads differ
     demand = {(0, 1): F(1), (0, 2): F(1), (1, 2): F(1, 2)}
     packing, farkas = prescribed_packing(4, demand)

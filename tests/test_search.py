@@ -183,6 +183,26 @@ def test_lp_solves_counts_every_search_lp(monkeypatch):
     assert len(calls) == sum(solves) + 2 * len(seeds)
 
 
+def test_bad_filters_fail_before_any_lp(monkeypatch):
+    with pytest.raises(ValueError, match="non-negative"):
+        BipartiteFilter(-1)
+    for flips in (-1, 2):
+        with pytest.raises(ValueError, match="0 or 1"):
+            PentagonFilter(flips)
+    calls = []
+
+    def counted(g, color):
+        calls.append(g)
+        return nu_star(g, color)
+
+    monkeypatch.setattr(search_mod, "nu_star", counted)
+    for level in (2, 4):
+        cfg = SearchConfig(n_end=6, filters={level: PentagonFilter()})
+        with pytest.raises(ValueError, match="at least 5 vertices"):
+            run_search([ColoredGraph(3, "RRB")], cfg)
+    assert calls == []
+
+
 def test_seed_validation():
     cfg = SearchConfig(n_end=4)
     with pytest.raises(ValueError):

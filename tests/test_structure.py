@@ -69,6 +69,47 @@ def test_bip_distance_certificate_agrees_with_exact_minimum():
                 assert len(cert.removed_edges) <= k
             else:
                 assert cert is None
+    # every graph on at most 5 vertices, and random ones on 9 to 14
+    cases = []
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            cases.append((n, [e for t, e in enumerate(pairs) if bits >> t & 1]))
+    for _ in range(20):
+        n = rng.randint(9, 14)
+        cases.append((n, random_edges(rng, n, rng.choice([0.2, 0.35]))))
+    for n, edges in cases:
+        opt = min_bipartition_deletions(n, edges)
+        for k in range(0, 4):
+            cert = bip_distance_at_most(n, edges, k)
+            assert (cert is not None) == (opt <= k), (n, edges, k)
+            if cert is not None:
+                assert cert.check(n, edges)
+                assert len(cert.removed_edges) <= k
+    # C_59 and three disjoint triangles: four disjoint odd cycles, one edge each
+    edges = [(i, (i + 1) % 59) for i in range(59)]
+    for a in range(59, 68, 3):
+        edges += [(a, a + 1), (a + 1, a + 2), (a, a + 2)]
+    assert bip_distance_at_most(68, edges, 3) is None
+    cert = bip_distance_at_most(68, edges, 4)
+    assert cert is not None and cert.check(68, edges)
+    assert len(cert.removed_edges) <= 4
+
+
+def test_bip_distance_refutes_a_dense_class_quickly():
+    """K_{30,30} (the blue class of the n = 60 bipartite construction) with
+    five edges inside one side: any other partition leaves at least 30 of
+    its edges inside a part, so all five must go, and k = 4 is refuted only
+    after the whole search tree."""
+    g = bipartite_minus_matching(60, 0)
+    inside = random.Random(60).sample(list(itertools.combinations(range(30), 2)), 5)
+    edges = g.edges_of_color(BLUE) + inside
+    start = time.perf_counter()
+    assert bip_distance_at_most(60, edges, 4) is None
+    assert time.perf_counter() - start < 0.3
+    cert = bip_distance_at_most(60, edges, 5)
+    assert cert is not None and cert.check(60, edges)
+    assert cert.removed_edges == frozenset(inside)
 
 
 def test_bipartition_cert_check_rejects_tampering():
