@@ -24,7 +24,7 @@ from .constructions import (
     flipped_blowup,
     pentagon_blowup,
 )
-from .graph import BLUE, RED, ColoredGraph, GraphFormatError, parse
+from .graph import BLUE, RED, ColoredGraph, GraphFormatError, parse, parse_decimal
 from .lp import frac_decomposition, pack
 from .structure import bip_distance_at_most, pentagon_distance
 
@@ -104,7 +104,8 @@ def cmd_verify(args) -> int:
     except OSError as exc:
         raise CliError(f"cannot read {args.certificate}: {exc}", EXIT_PARSE) from exc
     g = _load_graph(args.graph) if args.graph else None
-    header = text.splitlines()[0].strip() if text.strip() else ""
+    # the first non-blank line, unstripped, as the certificate parsers read it
+    header = next((ln for ln in text.splitlines() if ln.strip()), "")
     if header == certs.PACKCERT_HEADER:
         ok, message = certs.verify_packcert(text, g)
     elif header == certs.COVERCERT_HEADER:
@@ -198,7 +199,7 @@ def cmd_bipdist(args) -> int:
 def cmd_construct(args) -> int:
     if args.family == "blowup":
         try:
-            sizes = tuple(int(s) for s in args.sizes.split(","))
+            sizes = tuple(parse_decimal(s) for s in args.sizes.split(","))
         except (AttributeError, ValueError):
             raise CliError("--sizes must be five comma-separated integers", EXIT_PRECONDITION)
         try:
@@ -312,14 +313,14 @@ def _parse_filters(specs: list[str]) -> dict:
     for spec in specs:
         parts = spec.split(":")
         try:
-            level = int(parts[0])
-        except (IndexError, ValueError):
+            level = parse_decimal(parts[0])
+        except ValueError:
             raise CliError(f"bad filter {spec!r}", EXIT_PRECONDITION) from None
         if len(parts) == 2 and parts[1] == "pentagon":
             filters[level] = search_mod.PentagonFilter()
         elif len(parts) == 3 and parts[1] == "bip":
             try:
-                filters[level] = search_mod.BipartiteFilter(int(parts[2]))
+                filters[level] = search_mod.BipartiteFilter(parse_decimal(parts[2]))
             except ValueError:
                 raise CliError(f"bad filter {spec!r}", EXIT_PRECONDITION) from None
         else:

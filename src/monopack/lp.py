@@ -29,6 +29,7 @@ from scipy.optimize import linprog
 
 from .graph import BLUE, COLORS, RED, ColoredGraph, Edge, Triangle, norm_edge
 from .simplex import ONE, ZERO, simplex_max_leq
+from .structure import max_disjoint
 
 MAX_DENOMINATOR = 10**6
 
@@ -334,41 +335,16 @@ def prescribed_packing(n: int, demand: dict[Edge, Fraction]):
     return solve_loads(triangles, {e: demand[e] for e in es}, {})
 
 
-# -- exact integral packing oracle ---------------------------------------
+# -- exact integral packing oracle (structure.max_disjoint) --------------
 
 
 def integer_nu(n: int, edges) -> int:
-    """Maximum number of edge-disjoint triangles, by exhaustive branch and bound.
+    """Maximum number of edge-disjoint triangles, by the exact search
+    `structure.max_disjoint` on the triangles' edge sets.
 
     Restricted to n <= 9; this is the small-n oracle for nu <= nu*.
     """
     if n > 9:
         raise ValueError(f"integer_nu is an exhaustive oracle for n <= 9, got n={n}")
-    es = {norm_edge(e) for e in edges}
-    triangles = ColoredGraph.from_red_edges(n, es).monochromatic_triangles(RED)
-    if not triangles:
-        return 0
-    tri_masks = []
-    eidx = {e: i for i, e in enumerate(sorted(es))}
-    for t in triangles:
-        mask = 0
-        for e in triangle_edges(t):
-            mask |= 1 << eidx[e]
-        tri_masks.append(mask)
-
-    best = 0
-
-    def dfs(start: int, used: int, count: int, free_edges: int) -> None:
-        nonlocal best
-        if count > best:
-            best = count
-        if count + free_edges // 3 <= best:
-            return
-        for i in range(start, len(tri_masks)):
-            m = tri_masks[i]
-            if m & used:
-                continue
-            dfs(i + 1, used | m, count + 1, free_edges - 3)
-
-    dfs(0, 0, 0, len(es))
-    return best
+    triangles = ColoredGraph.from_red_edges(n, map(norm_edge, edges)).monochromatic_triangles(RED)
+    return len(max_disjoint(map(triangle_edges, triangles)))

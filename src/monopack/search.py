@@ -272,6 +272,8 @@ def run_search(
     representatives under the admitted symmetry) and the search report.
     Survivors are exactly the colourings whose certified pack value stays
     within the threshold and which pass the configured structural filters.
+    ValueError, before the first LP, on an n_end below the start level or a
+    filter at a level the search does not reach.
     """
     for n, level_filter in cfg.filters.items():
         if isinstance(level_filter, PentagonFilter) and n < 5:
@@ -290,13 +292,19 @@ def run_search(
             if key.key in seen:
                 raise ValueError("seeds must be pairwise non-isomorphic")
             seen.add(key.key)
-        frontier = [solve_node(g) for g in seeds]
         level = sizes.pop()
     else:
         if state.admit_swap != cfg.admit_swap:
             raise ValueError("resumed state used a different symmetry setting")
-        frontier = state.frontier
         level = state.level
+    if cfg.n_end < level:
+        raise ValueError(f"n_end={cfg.n_end} is below the start level {level}")
+    for n in cfg.filters:
+        if not level < n <= cfg.n_end:
+            raise ValueError(
+                f"filter at level {n} is outside the searched levels {level + 1}..{cfg.n_end}"
+            )
+    frontier = state.frontier if state is not None else [solve_node(g) for g in seeds]
 
     levels: dict[int, list[ColoredGraph]] = {level: [n.graph for n in frontier]}
     report = (state.report if state is not None else SearchReport())

@@ -383,24 +383,22 @@ def bad_configurations(
     return out
 
 
-def max_disjoint_bad_configs(
-    configs: list[BadConfiguration],
-) -> tuple[int, list[BadConfiguration]]:
-    """Maximum number of pairwise vertex-disjoint configurations, with a
-    witness family.  Exact branch-and-bound on the shared vertices."""
-    sets = [frozenset(c.vertices) for c in configs]
+def max_disjoint(sets) -> list[int]:
+    """Indices of a largest family of pairwise disjoint 3-element sets; the
+    one exact search for vertex-disjoint bad configurations and for
+    edge-disjoint triangles (`lp.integer_nu`).  Branch-and-bound on one
+    element: use a set through it, or drop it; a branch is cut once the free
+    elements cannot hold enough triples to beat the best family found."""
+    sets = [frozenset(s) for s in sets]
     best: list[int] = []
 
     def rec(avail: list[int], chosen: list[int]) -> None:
         nonlocal best
         if len(chosen) > len(best):
             best = list(chosen)
-        if not avail:
-            return
         free = set().union(*(sets[k] for k in avail))
         if len(chosen) + len(free) // 3 <= len(best):
             return
-        # branch on one vertex: either skip it, or use a configuration through it
         v = next(iter(sets[avail[0]]))
         with_v = [k for k in avail if v in sets[k]]
         for k in with_v:
@@ -408,7 +406,16 @@ def max_disjoint_bad_configs(
             rec(rest, chosen + [k])
         rec([k for k in avail if v not in sets[k]], chosen)
 
-    rec(list(range(len(configs))), [])
+    rec(list(range(len(sets))), [])
+    return best
+
+
+def max_disjoint_bad_configs(
+    configs: list[BadConfiguration],
+) -> tuple[int, list[BadConfiguration]]:
+    """Maximum number of pairwise vertex-disjoint configurations, with a
+    witness family, by `max_disjoint` on their vertex sets."""
+    best = max_disjoint(c.vertices for c in configs)
     return len(best), [configs[k] for k in best]
 
 

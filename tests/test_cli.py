@@ -6,6 +6,7 @@ import pytest
 
 from monopack import search as search_mod
 from monopack.cli import _parse_threshold, main
+from monopack.constructions import BlobSpec, pentagon_blowup
 from monopack.graph import ColoredGraph
 from monopack.lp import nu_star
 
@@ -55,6 +56,23 @@ def test_verify_detects_violation(tmp_path, capsys):
     with open(cert, "w") as fh:
         fh.write("GARBAGE\n")
     assert main(["verify", cert]) == 2
+
+
+def test_verify_reads_the_header_as_the_parsers_do(tmp_path, capsys):
+    path = write_graph(tmp_path, ColoredGraph.monochromatic(5))
+    certdir = os.path.join(tmp_path, "certs")
+    assert main(["pack", path, "--certs", certdir]) == 0
+    with open(os.path.join(certdir, "pack.packcert")) as fh:
+        text = fh.read()
+    cert = os.path.join(tmp_path, "edited.packcert")
+    with open(cert, "w") as fh:
+        fh.write("\n" + text)
+    assert main(["verify", cert, path]) == 0
+    with open(cert, "w") as fh:
+        fh.write(text.replace("PACKCERT v1\n", "PACKCERT v1 \n", 1))
+    capsys.readouterr()
+    assert main(["verify", cert, path]) == 2
+    assert "unrecognised certificate header 'PACKCERT v1 '" in capsys.readouterr().err
 
 
 def test_canon(tmp_path, capsys):
@@ -170,7 +188,7 @@ def test_search_cli(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_bad_filter_fails_before_the_search(capsys, monkeypatch):
+def test_bad_filter_fails_before_the_search(tmp_path, capsys, monkeypatch):
     calls = []
 
     def counted(g, color):
@@ -178,11 +196,29 @@ def test_bad_filter_fails_before_the_search(capsys, monkeypatch):
         return nu_star(g, color)
 
     monkeypatch.setattr(search_mod, "nu_star", counted)
-    for spec in ("6:bip:-1", "2:pentagon"):
+    for spec in ("6:bip:-1", "2:pentagon", "9:pentagon"):
         assert main(["search", "--n-end", "6", "--filter", spec]) == 3
         out, err = capsys.readouterr()
         assert '"level"' not in out and err, spec
+    # an n_end below the seed's level would print the seed as the survivor
+    seed = write_graph(tmp_path, pentagon_blowup(BlobSpec((1, 1, 1, 1, 1)))[0])
+    assert main(["search", "--seed", seed, "--n-end", "3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "below the start level" in err
     assert calls == []
+
+
+def test_cli_integers_are_ascii_digits(tmp_path, capsys):
+    for spec in ("\u0666:pentagon", "+7:bip:1_0", " 6:pentagon", "6:bip:\u0661", "6:bip:+1"):
+        assert main(["search", "--n-end", "6", "--filter", spec]) == 3
+        assert "bad filter" in capsys.readouterr().err, spec
+    for sizes in ("\u0663,3,3,4,4", "+3,3,3,4,4", "3,3,3,4,4_0", "3, 3,3,4,4"):
+        assert main(["construct", "blowup", "--sizes", sizes]) == 3
+        assert "--sizes" in capsys.readouterr().err, sizes
+    assert main(["construct", "blowup", "--sizes", "3,3,3,4,4"]) == 0
+    assert capsys.readouterr().out.startswith("n=17")
+    assert main(["search", "--n-end", "5", "--filter", "5:bip:0"]) == 0
+    capsys.readouterr()
 
 
 def test_threshold_expression_is_restricted(capsys):

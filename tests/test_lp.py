@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -255,6 +256,41 @@ def test_integer_nu_oracle_values():
     assert integer_nu(3, [(0, 1)]) == 0
     with pytest.raises(ValueError):
         integer_nu(10, [])
+
+
+def brute_integer_nu(n, edges):
+    """The largest set of pairwise edge-disjoint triangles, by trying every
+    subset of the triangles from the largest size down."""
+    es = {tuple(sorted(e)) for e in edges}
+    tris = [t for t in combinations(range(n), 3) if set(triangle_edges(t)) <= es]
+    for r in range(min(len(tris), len(es) // 3), 0, -1):
+        for sub in combinations(tris, r):
+            if len({e for t in sub for e in triangle_edges(t)}) == 3 * r:
+                return r
+    return 0
+
+
+def test_integer_nu_matches_brute_force():
+    for n in range(1, 6):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            edges = [e for k, e in enumerate(pairs) if mask >> k & 1]
+            assert integer_nu(n, edges) == brute_integer_nu(n, edges), (n, edges)
+    rng = random.Random(6)
+    for _ in range(20):
+        edges = [e for e in combinations(range(6), 2) if rng.random() < 0.7]
+        assert integer_nu(6, edges) == brute_integer_nu(6, edges), edges
+
+
+def test_integer_nu_decides_a_dense_graph_quickly():
+    """K_9 less two disjoint edges has 34 edges, so counting edges allows 11
+    triangles.  But the four ends have odd degree 7, so a packing leaves an
+    edge at each of them, at least two edges in all, and nu = 10: the search
+    must refute every family of 11."""
+    edges = [e for e in combinations(range(9), 2) if e not in ((0, 1), (2, 3))]
+    start = time.perf_counter()
+    assert integer_nu(9, edges) == 10
+    assert time.perf_counter() - start < 0.5
 
 
 def test_loop_edge_rejected():

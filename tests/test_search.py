@@ -203,6 +203,39 @@ def test_bad_filters_fail_before_any_lp(monkeypatch):
     assert calls == []
 
 
+def test_filter_levels_and_n_end_fail_before_any_lp(monkeypatch, tmp_path):
+    path = os.path.join(tmp_path, "ckpt.json")
+    run_search([ColoredGraph(3, "RRB")], SearchConfig(n_end=4), checkpoint_path=path)
+    state = resume(path)
+    calls = []
+
+    def counted(g, color):
+        calls.append(g)
+        return nu_star(g, color)
+
+    monkeypatch.setattr(search_mod, "nu_star", counted)
+    seed = [ColoredGraph(3, "RRB")]
+    for filters in (
+        {3: BipartiteFilter(0), 9: BipartiteFilter(0)},
+        {3: BipartiteFilter(0)},
+        {9: BipartiteFilter(0)},
+    ):
+        with pytest.raises(ValueError, match="outside the searched levels"):
+            run_search(seed, SearchConfig(n_end=5, filters=filters))
+    with pytest.raises(ValueError, match="below the start level"):
+        run_search(seed, SearchConfig(n_end=2))
+    # the resumed frontier is at level 4
+    for filters in ({4: BipartiteFilter(0)}, {6: PentagonFilter()}):
+        with pytest.raises(ValueError, match="outside the searched levels"):
+            run_search([], SearchConfig(n_end=5, filters=filters), state=state)
+    with pytest.raises(ValueError, match="below the start level"):
+        run_search([], SearchConfig(n_end=3), state=state)
+    assert calls == []
+    # an n_end equal to the start level runs no level
+    levels, _ = run_search([], SearchConfig(n_end=4), state=state)
+    assert list(levels) == [4] and calls == []
+
+
 def test_seed_validation():
     cfg = SearchConfig(n_end=4)
     with pytest.raises(ValueError):
