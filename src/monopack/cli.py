@@ -8,9 +8,7 @@ bound are backed by certificates that `verify` can replay.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import ast
 import json
-import operator
 import os
 import sys
 from fractions import Fraction
@@ -24,7 +22,9 @@ from .constructions import (
     flipped_blowup,
     pentagon_blowup,
 )
-from .graph import BLUE, RED, ColoredGraph, GraphFormatError, parse, parse_decimal
+from .graph import (
+    BLUE, RED, ColoredGraph, GraphFormatError, parse, parse_decimal, parse_integer,
+)
 from .lp import frac_decomposition, pack
 from .structure import bip_distance_at_most, pentagon_distance
 
@@ -45,14 +45,17 @@ def _rat(v) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read {path}: {exc}", EXIT_PARSE) from exc
+
+
 def _load_graph(path: str) -> ColoredGraph:
     try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}", EXIT_PARSE) from exc
-    try:
-        return parse(text)
+        return parse(_read_text(path))
     except GraphFormatError as exc:
         raise CliError(f"{path}: {exc}", EXIT_PARSE) from exc
 
@@ -98,11 +101,7 @@ def cmd_pack(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        with open(args.certificate) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise CliError(f"cannot read {args.certificate}: {exc}", EXIT_PARSE) from exc
+    text = _read_text(args.certificate)
     g = _load_graph(args.graph) if args.graph else None
     # the first non-blank line, unstripped, as the certificate parsers read it
     header = next((ln for ln in text.splitlines() if ln.strip()), "")
@@ -243,71 +242,6 @@ def cmd_decompose(args) -> int:
     return EXIT_VIOLATED
 
 
-_BINARY_OPS = {
-    ast.Add: operator.add,
-    ast.Sub: operator.sub,
-    ast.Mult: operator.mul,
-    ast.Div: operator.truediv,
-    ast.FloorDiv: operator.floordiv,
-}
-
-
-def _parse_threshold(expr: str):
-    """The threshold expression as a function of n.
-
-    Only the name `n`, integer literals, `+ - * / //`, unary minus,
-    parentheses and calls `Fraction(a)` or `Fraction(a, b)` are accepted, so
-    the text reaches nothing but exact arithmetic; `/` divides exactly.
-    """
-
-    def clip(text: str) -> str:
-        return repr(text[:60]) + ("..." if len(text) > 60 else "")
-
-    def bad(detail: str) -> CliError:
-        return CliError(f"bad threshold expression {clip(expr)}: {detail}", EXIT_PRECONDITION)
-
-    def compile_node(node):
-        if isinstance(node, ast.Name) and node.id == "n":
-            return Fraction
-        if isinstance(node, ast.Constant) and type(node.value) is int:
-            return lambda n, value=Fraction(node.value): value
-        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
-            op = _BINARY_OPS[type(node.op)]
-            left, right = compile_node(node.left), compile_node(node.right)
-            return lambda n: Fraction(op(left(n), right(n)))
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            operand = compile_node(node.operand)
-            return lambda n: -operand(n)
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "Fraction"
-            and 1 <= len(node.args) <= 2
-            and not node.keywords
-        ):
-            args = [compile_node(a) for a in node.args]
-            return lambda n: Fraction(*(a(n) for a in args))
-        raise bad(f"{clip(ast.unparse(node))} is not allowed")
-
-    too_deep = "nested too deeply"
-    try:
-        body = compile_node(ast.parse(expr, mode="eval").body)
-    except SyntaxError as exc:
-        raise bad(exc.msg) from None
-    except (RecursionError, MemoryError):
-        raise bad(too_deep) from None
-
-    def threshold(n: int) -> Fraction:
-        try:
-            return body(n)
-        except ZeroDivisionError:
-            raise bad(f"division by zero at n={n}") from None
-        except (RecursionError, MemoryError):
-            raise bad(too_deep) from None
-
-    return threshold
-
-
 def _parse_filters(specs: list[str]) -> dict:
     filters: dict[int, object] = {}
     for spec in specs:
@@ -331,7 +265,6 @@ def _parse_filters(specs: list[str]) -> dict:
 def cmd_search(args) -> int:
     cfg = search_mod.SearchConfig(
         n_end=args.n_end,
-        threshold=_parse_threshold(args.threshold),
         filters=_parse_filters(args.filter),
         admit_swap=not args.no_swap,
     )
@@ -395,21 +328,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pentagon", help="distance (0 or 1 flips) to a pentagon blow-up")
     p.add_argument("graph")
-    p.add_argument("--max-flips", type=int, choices=(0, 1), default=1)
+    p.add_argument("--max-flips", type=parse_integer, choices=(0, 1), default=1)
     p.set_defaults(func=cmd_pentagon)
 
     p = sub.add_parser("bipdist", help="is a colour class k-close to bipartite")
     p.add_argument("graph")
     p.add_argument("--color", required=True, choices=(RED, BLUE))
-    p.add_argument("-k", type=int, required=True)
+    p.add_argument("-k", type=parse_integer, required=True)
     p.set_defaults(func=cmd_bipdist)
 
     p = sub.add_parser("construct", help="emit a named construction as graph text")
     p.add_argument("family", choices=("blowup", "bipartite"))
     p.add_argument("--sizes", help="blob sizes, e.g. 3,3,3,4,4")
     p.add_argument("--flip", action="store_true", help="recolour one distance-2 cross edge")
-    p.add_argument("-n", type=int, help="vertex count (bipartite)")
-    p.add_argument("-m", type=int, help="matching size (bipartite)")
+    p.add_argument("-n", type=parse_integer, help="vertex count (bipartite)")
+    p.add_argument("-m", type=parse_integer, help="matching size (bipartite)")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("decompose", help="fractional triangle decomposition of a colour class")
@@ -418,15 +351,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("search", help="frontier search over extensions of the seeds")
-    p.add_argument("--seed", nargs="*", default=[], help="seed graph files")
-    p.add_argument("--n-end", type=int, required=True)
-    p.add_argument("--threshold", default="Fraction(n * (n + 1), 4)",
-                   help="pruning bound as an expression in n")
+    start = p.add_mutually_exclusive_group()
+    start.add_argument("--seed", nargs="*", default=[], help="seed graph files")
+    start.add_argument("--resume", help="continue from a checkpoint file")
+    p.add_argument("--n-end", type=parse_integer, required=True)
     p.add_argument("--filter", action="append", default=[],
                    help="level:pentagon or level:bip:k, repeatable")
     p.add_argument("--no-swap", action="store_true")
     p.add_argument("--checkpoint", help="write a resumable snapshot after each level")
-    p.add_argument("--resume", help="continue from a checkpoint file")
     p.add_argument("--certs", help="directory for survivor certificates")
     p.set_defaults(func=cmd_search)
 

@@ -62,6 +62,12 @@ def parse_decimal(text: str) -> int:
     return int(text)
 
 
+def parse_integer(text: str) -> int:
+    """parse_decimal with an optional leading '-', so that a negative value is
+    read as such and can be refused by the caller."""
+    return -parse_decimal(text[1:]) if text.startswith("-") else parse_decimal(text)
+
+
 def all_edges(n: int) -> list[Edge]:
     return list(combinations(range(n), 2))
 
@@ -232,8 +238,7 @@ def parse(text: str) -> ColoredGraph:
         raise GraphFormatError("first line must be 'n=<decimal>'", 0)
     count = lines[0][2:]
     try:
-        # a leading '-' is read too, so that a negative count is reported as such
-        n = -parse_decimal(count[1:]) if count.startswith("-") else parse_decimal(count)
+        n = parse_integer(count)
     except ValueError:
         raise GraphFormatError(f"bad vertex count {count!r}", 2) from None
     if n < 0:

@@ -21,11 +21,10 @@ import json
 import os
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable
 
 from . import certs
 from .canonical import canonical_key
-from .graph import BLUE, RED, UNASSIGNED, ColoredGraph, Edge
+from .graph import BLUE, RED, UNASSIGNED, ColoredGraph, Edge, parse_decimal
 from .lp import FractionalCover, FractionalPacking, certified_exceeds, nu_star
 from .simplex import ONE, ZERO
 from .structure import bip_distance_at_most, pentagon_distance
@@ -39,7 +38,8 @@ FILTERED_BIPARTITE = "filtered-bipartite"
 
 
 def default_threshold(n: int) -> Fraction:
-    """Bound applied while extending a complete colouring on n vertices."""
+    """Bound applied while extending a complete colouring on n vertices: the
+    search's one threshold, n(n+1)/4."""
     return Fraction(n * (n + 1), 4)
 
 
@@ -63,8 +63,10 @@ class BipartiteFilter:
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """A search to n_end; extensions of n-vertex colourings are held to
+    default_threshold(n) = n(n+1)/4."""
+
     n_end: int
-    threshold: Callable[[int], Fraction] = default_threshold
     filters: dict = field(default_factory=dict)  # level -> filter instance
     admit_swap: bool = True
 
@@ -271,7 +273,8 @@ def run_search(
     Returns the per-level survivor lists (complete colourings, canonical
     representatives under the admitted symmetry) and the search report.
     Survivors are exactly the colourings whose certified pack value stays
-    within the threshold and which pass the configured structural filters.
+    within the threshold, n(n+1)/4 while extending n vertices, and which pass
+    the configured structural filters.
     ValueError, before the first LP, on an n_end below the start level or a
     filter at a level the search does not reach.
     """
@@ -310,7 +313,7 @@ def run_search(
     report = (state.report if state is not None else SearchReport())
 
     while level < cfg.n_end:
-        threshold = Fraction(cfg.threshold(level))
+        threshold = default_threshold(level)
         stats = report.at(level + 1)
         level_filter = cfg.filters.get(level + 1)
         survivors: dict[str, SearchNode] = {}
@@ -403,7 +406,12 @@ def resume(path: str) -> SearchState:
     if not all(type(s) is dict and s.keys() <= fields and all(type(v) is int for v in s.values())
                for s in reports.values()):
         raise ValueError("checkpoint report holds an unknown field or a non-integer count")
-    report = SearchReport({int(n): LevelStats(**stats) for n, stats in reports.items()})
+    report = SearchReport()
+    for key, stats in reports.items():
+        n = parse_decimal(key)
+        if n in report.levels:
+            raise ValueError(f"checkpoint report names level {n} twice")
+        report.levels[n] = LevelStats(**stats)
     frontier = []
     for item in items:
         text = item.get("packcert") if type(item) is dict else None

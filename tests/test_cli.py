@@ -1,11 +1,10 @@
 import json
 import os
-from fractions import Fraction
 
 import pytest
 
 from monopack import search as search_mod
-from monopack.cli import _parse_threshold, main
+from monopack.cli import main
 from monopack.constructions import BlobSpec, pentagon_blowup
 from monopack.graph import ColoredGraph
 from monopack.lp import nu_star
@@ -45,6 +44,23 @@ def test_parse_error_exit_code(tmp_path, capsys):
         fh.write("n=3\nRX\n")
     assert main(["pack", path]) == 2
     assert main(["pack", os.path.join(tmp_path, "missing.txt")]) == 2
+    # a file that is not UTF-8 is a parse error, for graphs and certificates
+    with open(path, "wb") as fh:
+        fh.write(b"n=3\nRR\xff\n")
+    capsys.readouterr()
+    for argv in (["pack", path], ["canon", path], ["decompose", path, "--color", "R"]):
+        assert main(argv) == 2, argv
+        assert "cannot read" in capsys.readouterr().err, argv
+    good = write_graph(tmp_path, ColoredGraph.monochromatic(5))
+    certdir = os.path.join(tmp_path, "certs")
+    assert main(["pack", good, "--certs", certdir]) == 0
+    cert = os.path.join(certdir, "pack.packcert")
+    assert main(["verify", cert, path]) == 2
+    with open(cert, "ab") as fh:
+        fh.write(b"\xff\n")
+    capsys.readouterr()
+    assert main(["verify", cert, good]) == 2
+    assert "cannot read" in capsys.readouterr().err
 
 
 def test_verify_detects_violation(tmp_path, capsys):
@@ -179,13 +195,16 @@ def test_search_cli(tmp_path, capsys):
     assert main(["search", "--resume", ckpt, "--n-end", "6"]) == 0
     capsys.readouterr()
     # malformed inputs
-    assert main(["search", "--n-end", "5", "--threshold", "nonsense("]) == 3
-    capsys.readouterr()
     assert main(["search", "--n-end", "5", "--filter", "5:bogus"]) == 3
     capsys.readouterr()
     missing = os.path.join(tmp_path, "nope.json")
     assert main(["search", "--resume", missing, "--n-end", "6"]) == 2
     capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--resume", ckpt, "--seed", seed, "--n-end", "6"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "not allowed with" in err
 
 
 def test_bad_filter_fails_before_the_search(tmp_path, capsys, monkeypatch):
@@ -219,30 +238,38 @@ def test_cli_integers_are_ascii_digits(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("n=17")
     assert main(["search", "--n-end", "5", "--filter", "5:bip:0"]) == 0
     capsys.readouterr()
+    # integer options are an optional '-' then ASCII digits; else argparse exits 2
+    path = write_graph(tmp_path, ColoredGraph.monochromatic(5))
+    commands = [
+        lambda x: ["search", "--n-end", x],
+        lambda x: ["bipdist", path, "--color", "R", "-k", x],
+        lambda x: ["construct", "bipartite", "-n", x, "-m", "1"],
+        lambda x: ["construct", "bipartite", "-n", "8", "-m", x],
+        lambda x: ["pentagon", path, "--max-flips", x],
+    ]
+    for command in commands:
+        for x in ("\u0664", "+1", "1_0", " 1", "1 ", "-"):
+            with pytest.raises(SystemExit) as exc:
+                main(command(x))
+            assert exc.value.code == 2, command(x)
+            out, err = capsys.readouterr()
+            assert out == "" and "invalid" in err, command(x)
+    # a well-formed negative k is read, then refused as a precondition
+    assert main(["bipdist", path, "--color", "R", "-k", "-1"]) == 3
+    assert "non-negative" in capsys.readouterr().err
 
 
-def test_threshold_expression_is_restricted(capsys):
+def test_threshold_is_not_an_option(capsys):
     escape = (
         '[c for c in ().__class__.__base__.__subclasses__() '
         'if c.__name__ == "_wrap_close"][0].__init__.__globals__["getcwd"]()'
     )
-    long_list = "[" + "1, " * 5000 + "]"
-    for expr in (escape, "[1]", "n ** 2", "abs(n)", "1 / (n - 4)", long_list):
-        assert main(["search", "--n-end", "5", "--threshold", expr]) == 3
-        err = capsys.readouterr().err
-        assert "bad threshold expression" in err
-        assert len(err) < 1000  # long expressions are quoted only in part
-    threshold = _parse_threshold("Fraction(n * (n + 1), 4)")
-    assert [threshold(n) for n in range(3, 20)] == [
-        Fraction(n * (n + 1), 4) for n in range(3, 20)
-    ]
-    assert _parse_threshold("-n // 3 + 7 / 2")(5) == Fraction(3, 2)
-    # nesting deep enough to exhaust the recursion limit or memory
-    for expr in ("-" * 1000 + "1", "+".join(["n"] * 1000), "-" * 100000 + "1"):
-        assert main(["search", "--n-end", "3", "--threshold=" + expr]) == 3
-        err = capsys.readouterr().err
-        assert "nested too deeply" in err
-        assert len(err) < 1000
+    for expr in (escape, "Fraction(n * (n + 1), 4)"):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--n-end", "5", "--threshold", expr])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert '"level"' not in out and "--threshold" in err
 
 
 def test_pentagon_too_small(tmp_path, capsys):

@@ -386,6 +386,11 @@ def test_resume_rejects_corrupt_and_mismatched(tmp_path):
         lambda p: p["frontier"][0].update(packcert=7),
         lambda p: p["report"]["4"].update(speed=1),
         lambda p: p["report"].update({"5": {"pruned": "x"}}),
+        # report levels are ASCII digits, each named once
+        lambda p: p["report"].update({"+4": {"survivors": 999}}),
+        lambda p: p["report"].update({"\u0663": {}}),
+        lambda p: p["report"].update({" 3": {}}),
+        lambda p: p["report"].update({"04": p["report"]["4"]}),
         lambda p: p.update(level="x"),
         # a frontier graph of the wrong size, or one with unassigned edges
         lambda p: p["frontier"].append(item(ColoredGraph(3, "RRB"))),
