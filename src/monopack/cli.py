@@ -263,11 +263,7 @@ def _parse_filters(specs: list[str]) -> dict:
 
 
 def cmd_search(args) -> int:
-    cfg = search_mod.SearchConfig(
-        n_end=args.n_end,
-        filters=_parse_filters(args.filter),
-        admit_swap=not args.no_swap,
-    )
+    cfg = search_mod.SearchConfig(n_end=args.n_end, filters=_parse_filters(args.filter))
     state = None
     if args.resume:
         try:
@@ -352,12 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="frontier search over extensions of the seeds")
     start = p.add_mutually_exclusive_group()
-    start.add_argument("--seed", nargs="*", default=[], help="seed graph files")
+    start.add_argument("--seed", nargs="+", help="seed graph files")
     start.add_argument("--resume", help="continue from a checkpoint file")
     p.add_argument("--n-end", type=parse_integer, required=True)
     p.add_argument("--filter", action="append", default=[],
                    help="level:pentagon or level:bip:k, repeatable")
-    p.add_argument("--no-swap", action="store_true")
     p.add_argument("--checkpoint", help="write a resumable snapshot after each level")
     p.add_argument("--certs", help="directory for survivor certificates")
     p.set_defaults(func=cmd_search)

@@ -123,7 +123,7 @@ class ColoredGraph:
         return ["".join(row) for row in rows]
 
     def edges_of_color(self, c: str) -> list[Edge]:
-        return [e for e in combinations(range(self.n), 2) if self.colors[edge_index(self.n, *e)] == c]
+        return [e for e, x in zip(combinations(range(self.n), 2), self.colors) if x == c]
 
     def unassigned_edges(self) -> list[Edge]:
         return self.edges_of_color(UNASSIGNED)
@@ -210,13 +210,9 @@ class ColoredGraph:
     def delete_vertex(self, u: int) -> "ColoredGraph":
         if not 0 <= u < self.n:
             raise ValueError(f"vertex {u} out of range for n={self.n}")
-        n, m = self.n, self.n - 1
-        chars = [""] * (m * (m - 1) // 2)
-        keep = [v for v in range(n) if v != u]
-        for a in range(m):
-            for b in range(a + 1, m):
-                chars[edge_index(m, a, b)] = self.colors[edge_index(n, keep[a], keep[b])]
-        return ColoredGraph(m, "".join(chars))
+        # the pairs avoiding u keep their row-major order once renumbered
+        pairs = zip(combinations(range(self.n), 2), self.colors)
+        return ColoredGraph(self.n - 1, "".join(x for e, x in pairs if u not in e))
 
     def swap_colors(self) -> "ColoredGraph":
         table = str.maketrans({RED: BLUE, BLUE: RED})

@@ -13,6 +13,12 @@ packing weight already exceeds the level threshold, so no colouring within
 the threshold is ever lost.  Completed colourings are deduplicated by
 canonical form and optionally removed by structural filters (pentagon
 blow-up distance or closeness of a colour class to bipartite).
+
+Colourings are identified up to isomorphism and colour swap, and nothing is
+lost by it: swapping the colours keeps every monochromatic triangle packing,
+and both filters give a colouring and its swap the same verdict (C_5 is
+self-complementary, and the bipartite filter tests both colours), so a search
+without swap would find exactly these survivors and their swaps.
 """
 
 from __future__ import annotations
@@ -68,7 +74,6 @@ class SearchConfig:
 
     n_end: int
     filters: dict = field(default_factory=dict)  # level -> filter instance
-    admit_swap: bool = True
 
 
 @dataclass(frozen=True)
@@ -259,7 +264,6 @@ class SearchState:
     level: int
     frontier: list[SearchNode]
     report: SearchReport
-    admit_swap: bool
 
 
 def run_search(
@@ -271,7 +275,7 @@ def run_search(
     """All completions of the seeds up to cfg.n_end, level by level.
 
     Returns the per-level survivor lists (complete colourings, canonical
-    representatives under the admitted symmetry) and the search report.
+    representatives up to isomorphism and colour swap) and the search report.
     Survivors are exactly the colourings whose certified pack value stays
     within the threshold, n(n+1)/4 while extending n vertices, and which pass
     the configured structural filters.
@@ -291,14 +295,12 @@ def run_search(
         for g in seeds:
             if not g.is_complete:
                 raise ValueError("seeds must be completely coloured")
-            key, _ = canonical_key(g, cfg.admit_swap)
+            key, _ = canonical_key(g)
             if key.key in seen:
                 raise ValueError("seeds must be pairwise non-isomorphic")
             seen.add(key.key)
         level = sizes.pop()
     else:
-        if state.admit_swap != cfg.admit_swap:
-            raise ValueError("resumed state used a different symmetry setting")
         level = state.level
     if cfg.n_end < level:
         raise ValueError(f"n_end={cfg.n_end} is below the start level {level}")
@@ -332,7 +334,7 @@ def run_search(
                     if verdict != KEEP:
                         stats.filtered += 1
                         continue
-                    key, _ = canonical_key(node.graph, cfg.admit_swap)
+                    key, _ = canonical_key(node.graph)
                     if key.key in survivors:
                         stats.duplicates += 1
                     else:
@@ -352,7 +354,7 @@ def run_search(
         level += 1
         levels[level] = [n.graph for n in frontier]
         if checkpoint_path is not None:
-            checkpoint(SearchState(level, frontier, report, cfg.admit_swap), checkpoint_path)
+            checkpoint(SearchState(level, frontier, report), checkpoint_path)
     return levels, report
 
 
@@ -364,7 +366,7 @@ def checkpoint(state: SearchState, path: str) -> None:
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "level": state.level,
-        "admit_swap": state.admit_swap,
+        "admit_swap": True,  # the frontier is kept up to colour swap
         "frontier": [
             {
                 "graph": node.graph.serialize(),
@@ -399,9 +401,12 @@ def resume(path: str) -> SearchState:
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
     level, items = payload.get("level"), payload.get("frontier")
-    reports, admit_swap = payload.get("report", {}), payload.get("admit_swap")
-    if (type(level), type(items), type(reports), type(admit_swap)) != (int, list, dict, bool):
-        raise ValueError("checkpoint has a malformed level, frontier, report or admit_swap")
+    reports = payload.get("report", {})
+    if (type(level), type(items), type(reports)) != (int, list, dict):
+        raise ValueError("checkpoint has a malformed level, frontier or report")
+    # a frontier kept under another symmetry would mix its counts into ours
+    if payload.get("admit_swap") is not True:
+        raise ValueError("checkpoint frontier is not kept up to colour swap")
     fields = vars(LevelStats()).keys()
     if not all(type(s) is dict and s.keys() <= fields and all(type(v) is int for v in s.values())
                for s in reports.values()):
@@ -422,4 +427,4 @@ def resume(path: str) -> SearchState:
         if g.n != level or not g.is_complete:
             raise ValueError(f"checkpoint frontier graph is not a complete K_{level} colouring")
         frontier.append(solve_node(g))
-    return SearchState(level, frontier, report, admit_swap)
+    return SearchState(level, frontier, report)

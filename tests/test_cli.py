@@ -205,6 +205,13 @@ def test_search_cli(tmp_path, capsys):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and "not allowed with" in err
+    # --seed names at least one file, and colour swap is not an option
+    for argv in (["--seed"], ["--no-swap"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", *argv, "--n-end", "4"])
+        assert exc.value.code == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and argv[0] in err, argv
 
 
 def test_bad_filter_fails_before_the_search(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -92,13 +93,19 @@ def test_flip_edge_is_an_involution():
     assert g.flip_edge(0, 1).color_of(0, 1) == BLUE
 
 
+def random_graphs(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(2, 9)
+        yield ColoredGraph(n, "".join(rng.choice("RB.") for _ in range(n * (n - 1) // 2)))
+
+
 def test_delete_vertex_keeps_induced_colours():
-    g = ColoredGraph(5, "RBRBRBRBRB")
-    for u in range(5):
-        h = g.delete_vertex(u)
-        keep = [v for v in range(5) if v != u]
-        for a in range(4):
-            for b in range(a + 1, 4):
+    for g in [ColoredGraph(5, "RBRBRBRBRB"), *random_graphs(20, seed=1)]:
+        for u in range(g.n):
+            h = g.delete_vertex(u)
+            keep = [v for v in range(g.n) if v != u]
+            for a, b in all_edges(h.n):
                 assert h.color_of(a, b) == g.color_of(keep[a], keep[b])
 
 
@@ -152,3 +159,6 @@ def test_from_red_edges():
     g = ColoredGraph.from_red_edges(4, [(0, 1), (2, 3)])
     assert g.edges_of_color(RED) == [(0, 1), (2, 3)]
     assert g.is_complete
+    for g in random_graphs(20, seed=2):
+        for c in (RED, BLUE, UNASSIGNED):
+            assert g.edges_of_color(c) == [e for e in all_edges(g.n) if g.color_of(*e) == c]

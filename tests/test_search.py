@@ -69,16 +69,16 @@ def test_default_threshold():
 @pytest.mark.parametrize("admit_swap", [True, False])
 @pytest.mark.parametrize("n_end", [4, 5])
 def test_search_matches_brute_force(n_end, admit_swap):
-    # all 3-vertex colourings up to the admitted symmetry
+    # all 3-vertex colourings up to isomorphism and colour swap
     seeds = [ColoredGraph(3, "RRR"), ColoredGraph(3, "RRB")]
+    levels, report = run_search(seeds, SearchConfig(n_end=n_end))
+    survivors = levels[n_end]
+    assert report.at(n_end).survivors == len({canonical_key(g)[0].key for g in survivors})
     if not admit_swap:
-        seeds += [ColoredGraph(3, "RBB"), ColoredGraph(3, "BBB")]
-    cfg = SearchConfig(n_end=n_end, admit_swap=admit_swap)
-    levels, report = run_search(seeds, cfg)
-    got = {canonical_key(g, admit_swap)[0].key for g in levels[n_end]}
-    want = brute_survivors(n_end, default_threshold, admit_swap)
-    assert got == want
-    assert report.at(n_end).survivors == len(got)
+        # closed under swap, the survivors are those of a search without swap
+        survivors = survivors + [g.swap_colors() for g in survivors]
+    got = {canonical_key(g, admit_swap)[0].key for g in survivors}
+    assert got == brute_survivors(n_end, default_threshold, admit_swap)
 
 
 def test_survivor_values_within_threshold():
@@ -280,6 +280,25 @@ def test_classify_complete():
         classify_complete(g, "bogus")
 
 
+def test_filters_give_a_colouring_and_its_swap_one_verdict():
+    filters = [PentagonFilter(0), PentagonFilter(1), BipartiteFilter(0), BipartiteFilter(1)]
+    five = list(all_colorings(5))
+    # verdicts are invariant under relabelling, and every colouring on six
+    # vertices relabels to an extension of a five-vertex class representative
+    reps = {canonical_key(g, False)[0].key: g for g in five}.values()
+    six = []
+    for g in reps:
+        for bits in range(2 ** 5):
+            h = g.add_vertex()
+            for v in range(5):
+                h = h.set_edge(v, 5, RED if bits >> v & 1 else BLUE)
+            six.append(h)
+    for g in five + six:
+        for level_filter in filters:
+            verdict, _ = classify_complete(g, level_filter)
+            assert classify_complete(g.swap_colors(), level_filter)[0] == verdict
+
+
 def test_checkpoint_round_trip(tmp_path):
     path = os.path.join(tmp_path, "ckpt.json")
     seeds = [ColoredGraph(3, "RRB")]
@@ -307,7 +326,7 @@ def test_failed_checkpoint_keeps_previous_snapshot(tmp_path, monkeypatch):
 
     monkeypatch.setattr(json, "dump", dump_then_fail)
     with pytest.raises(OSError):
-        checkpoint(SearchState(5, [], state.report, state.admit_swap), path)
+        checkpoint(SearchState(5, [], state.report), path)
     monkeypatch.undo()
     with open(path) as fh:
         assert fh.read() == before
@@ -357,9 +376,6 @@ def test_resume_rejects_corrupt_and_mismatched(tmp_path):
         resume(path)
     good = os.path.join(tmp_path, "good.json")
     run_search([ColoredGraph(3, "RRB")], SearchConfig(n_end=4), checkpoint_path=good)
-    state = resume(good)
-    with pytest.raises(ValueError):
-        run_search([], SearchConfig(n_end=5, admit_swap=False), state=state)
     # an overstated claim fails the same replay as `monopack verify`
     with open(good) as fh:
         payload = json.load(fh)
@@ -382,6 +398,8 @@ def test_resume_rejects_corrupt_and_mismatched(tmp_path):
         lambda p: p.pop("level"),
         lambda p: p.pop("frontier"),
         lambda p: p.pop("admit_swap"),
+        # a frontier kept up to isomorphism without colour swap
+        lambda p: p.update(admit_swap=False),
         lambda p: p["frontier"][0].pop("packcert"),
         lambda p: p["frontier"][0].update(packcert=7),
         lambda p: p["report"]["4"].update(speed=1),
