@@ -6,12 +6,14 @@ the two colours.  Every node carries, per colour, a feasible packing and a
 feasible cover of the assigned part, so lo <= nu* <= hi.  An exposure grows
 only the changed colour's pair, exactly and without an LP: the new triangles
 all contain the new edge, so the packing is augmented greedily on them and
-the cover raises the new edge's weight until they are covered.  An LP is
-solved only when the bounds leave the threshold undecided.  A branch is cut
-only when an exact rational certificate shows that the assigned part's total
-packing weight already exceeds the level threshold, so no colouring within
-the threshold is ever lost.  Completed colourings are deduplicated by
-canonical form and optionally removed by structural filters (pentagon
+the cover raises the new edge's weight until they are covered.  `settle`,
+the only LP site, solves one only when the bounds leave the threshold
+undecided; seeds start from empty packings and unit covers, survivors keep
+their settled bounds, resumed nodes their checkpoint's packings.  A branch
+is cut only when an exact rational certificate shows that the assigned
+part's total packing weight exceeds the level threshold, so no colouring
+within the threshold is ever lost.  Completed colourings are deduplicated
+by canonical form and optionally removed by structural filters (pentagon
 blow-up distance or closeness of a colour class to bipartite).
 
 Colourings are identified up to isomorphism and colour swap, and nothing is
@@ -91,6 +93,14 @@ class Bounds:
     loads: dict[Edge, Fraction]
 
     @classmethod
+    def from_packing(cls, g: ColoredGraph, packing: FractionalPacking) -> Bounds:
+        """The bounds of a feasible packing of g and the cover that puts
+        weight 1 on each edge of its colour; no LP."""
+        color = packing.color
+        cover = FractionalCover(color, dict.fromkeys(g.edges_of_color(color), ONE))
+        return cls(packing, cover, packing.value(), cover.value(), packing.edge_loads())
+
+    @classmethod
     def exact(cls, g: ColoredGraph, color: str) -> Bounds:
         res = nu_star(g, color)
         return cls(
@@ -160,7 +170,7 @@ class LevelStats:
     filtered: int = 0
     completed: int = 0
     duplicates: int = 0
-    lp_solves: int = 0  # nu_star solves by settle and for new survivors
+    lp_solves: int = 0  # nu_star solves by settle: every LP the search solves
 
 
 @dataclass
@@ -169,11 +179,6 @@ class SearchReport:
 
     def at(self, n: int) -> LevelStats:
         return self.levels.setdefault(n, LevelStats())
-
-
-def solve_node(g: ColoredGraph) -> SearchNode:
-    """g with both colours solved exactly (two LPs)."""
-    return SearchNode(g, Bounds.exact(g, RED), Bounds.exact(g, BLUE))
 
 
 def choose_next_vertex(node: SearchNode) -> int:
@@ -257,6 +262,18 @@ def classify_complete(g: ColoredGraph, level_filter):
     raise ValueError(f"unknown filter {level_filter!r}")
 
 
+def check_frontier(graphs: list[ColoredGraph], level: int) -> None:
+    """ValueError unless the graphs are pairwise non-isomorphic complete K_level colourings."""
+    seen = set()
+    for g in graphs:
+        if g.n != level or not g.is_complete:
+            raise ValueError(f"frontier graph is not a complete K_{level} colouring")
+        key, _ = canonical_key(g)
+        if key.key in seen:
+            raise ValueError("frontier graphs must be pairwise non-isomorphic")
+        seen.add(key.key)
+
+
 @dataclass
 class SearchState:
     """Between-level snapshot: the current frontier and counters."""
@@ -288,20 +305,12 @@ def run_search(
     if state is None:
         if not seeds:
             raise ValueError("need at least one seed")
-        sizes = {g.n for g in seeds}
-        if len(sizes) != 1:
-            raise ValueError("seeds must share a vertex count")
-        seen = set()
-        for g in seeds:
-            if not g.is_complete:
-                raise ValueError("seeds must be completely coloured")
-            key, _ = canonical_key(g)
-            if key.key in seen:
-                raise ValueError("seeds must be pairwise non-isomorphic")
-            seen.add(key.key)
-        level = sizes.pop()
+        level = seeds[0].n
+        check_frontier(seeds, level)
+        empty = FractionalPacking(RED), FractionalPacking(BLUE)
+        frontier = [SearchNode(g, *(Bounds.from_packing(g, p) for p in empty)) for g in seeds]
     else:
-        level = state.level
+        level, frontier = state.level, state.frontier
     if cfg.n_end < level:
         raise ValueError(f"n_end={cfg.n_end} is below the start level {level}")
     for n in cfg.filters:
@@ -309,7 +318,6 @@ def run_search(
             raise ValueError(
                 f"filter at level {n} is outside the searched levels {level + 1}..{cfg.n_end}"
             )
-    frontier = state.frontier if state is not None else [solve_node(g) for g in seeds]
 
     levels: dict[int, list[ColoredGraph]] = {level: [n.graph for n in frontier]}
     report = (state.report if state is not None else SearchReport())
@@ -320,15 +328,16 @@ def run_search(
         level_filter = cfg.filters.get(level + 1)
         survivors: dict[str, SearchNode] = {}
         for parent in frontier:
-            # frontier bounds are exact, and the new vertex closes no triangle
-            root = replace(parent, graph=parent.graph.add_vertex())
-            if prune(root, threshold) is not None:
-                stats.pruned += 1
-                continue
-            stack = [root]
+            # the new vertex closes no triangle, so the parent's bounds hold
+            stack = [replace(parent, graph=parent.graph.add_vertex())]
             while stack:
-                node = stack.pop()
-                if node.graph.is_complete:
+                node, solves = settle(stack.pop(), threshold)
+                stats.lp_solves += solves
+                if prune(node, threshold) is not None:
+                    stats.pruned += 1
+                elif not node.graph.is_complete:
+                    stack.extend(expose(node, choose_next_vertex(node)))
+                else:
                     stats.completed += 1
                     verdict, _ = classify_complete(node.graph, level_filter)
                     if verdict != KEEP:
@@ -338,17 +347,7 @@ def run_search(
                     if key.key in survivors:
                         stats.duplicates += 1
                     else:
-                        survivors[key.key] = solve_node(node.graph)
-                        stats.lp_solves += 2
-                    continue
-                v = choose_next_vertex(node)
-                for child in expose(node, v):
-                    child, solves = settle(child, threshold)
-                    stats.lp_solves += solves
-                    if prune(child, threshold) is not None:
-                        stats.pruned += 1
-                    else:
-                        stack.append(child)
+                        survivors[key.key] = node
         frontier = [survivors[k] for k in sorted(survivors)]
         stats.survivors = len(frontier)
         level += 1
@@ -390,7 +389,8 @@ def checkpoint(state: SearchState, path: str) -> None:
 
 def resume(path: str) -> SearchState:
     """The state in a checkpoint; ValueError unless it is well formed and its
-    frontier holds complete colourings on `level` vertices with valid PACKCERTs."""
+    frontier passes `check_frontier` with valid PACKCERTs.  Each node starts
+    from its PACKCERT's packings; no LP is solved."""
     with open(path) as fh:
         try:
             payload = json.load(fh)
@@ -423,8 +423,7 @@ def resume(path: str) -> SearchState:
         ok, msg = certs.verify_packcert(text) if type(text) is str else (False, "missing")
         if not ok:
             raise ValueError(f"checkpoint PACKCERT rejected: {msg}")
-        g = certs.parse_packcert(text)[0]
-        if g.n != level or not g.is_complete:
-            raise ValueError(f"checkpoint frontier graph is not a complete K_{level} colouring")
-        frontier.append(solve_node(g))
+        g, red, blue, _ = certs.parse_packcert(text)
+        frontier.append(SearchNode(g, Bounds.from_packing(g, red), Bounds.from_packing(g, blue)))
+    check_frontier([node.graph for node in frontier], level)
     return SearchState(level, frontier, report)

@@ -48,3 +48,5 @@ def test_traced_hits_match_the_search_report():
     assert spans["prune"]["hits"] == sum(s.pruned for s in levels) > 0
     assert spans["pentagon"]["calls"] == sum(s.completed for s in levels) > 0
     assert spans["pentagon"]["hits"] == sum(s.filtered for s in levels) > 0
+    # every LP the search solves is in the report, the seed's among them
+    assert spans["nu_star"]["calls"] == sum(s.lp_solves for s in levels) > 0

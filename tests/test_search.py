@@ -1,7 +1,6 @@
 import itertools
 import json
 import os
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,12 +10,13 @@ from monopack.cli import main
 from monopack.canonical import canonical_key
 from monopack.constructions import BlobSpec, flipped_blowup, pentagon_blowup
 from monopack.graph import BLUE, RED, UNASSIGNED, ColoredGraph
-from monopack.lp import FractionalCover, FractionalPacking, nu_star, pack, triangle_edges
+from monopack.lp import FractionalPacking, nu_star, pack
 from monopack.search import (
     BipartiteFilter,
     Bounds,
     PentagonFilter,
     SearchConfig,
+    SearchNode,
     classify_complete,
     default_threshold,
     expose,
@@ -24,7 +24,6 @@ from monopack.search import (
     resume,
     run_search,
     settle,
-    solve_node,
     checkpoint,
     SearchState,
 )
@@ -91,10 +90,14 @@ def test_survivor_values_within_threshold():
             assert pack(g).value <= default_threshold(n)
 
 
+def exact_node(g):
+    return SearchNode(g, Bounds.exact(g, RED), Bounds.exact(g, BLUE))
+
+
 def test_prune_is_sound():
     # a pruned branch really does exceed the threshold
     g = ColoredGraph.monochromatic(5)
-    node = solve_node(g)
+    node = exact_node(g)
     assert prune(node, F(6)) == pack(g).value
     assert prune(node, F(10)) is None
 
@@ -110,7 +113,7 @@ def exposed_nodes(node):
 
 
 def test_bounds_bracket_the_cold_optimum():
-    root = solve_node(ColoredGraph(4, "RRBRBB").add_vertex())
+    root = exact_node(ColoredGraph(4, "RRBRBB").add_vertex())
     values = {}
     loosest = {}  # per colouring, the reached node with the widest bounds
     for node in exposed_nodes(root):
@@ -138,22 +141,18 @@ def test_bounds_bracket_the_cold_optimum():
             settled, solves = settle(node, t)
             assert solves <= 2 and not settled.straddles(t)
             assert (prune(settled, t) is not None) == (pack_value > t)
-        # from trivial bounds (no packing, every edge covered) both colours
+        # from a seed's bounds (no packing, every edge covered) both colours
         # may need their LP
         g = node.graph
-        trivial = replace(node, red=trivial_bounds(g, RED), blue=trivial_bounds(g, BLUE))
+        trivial = SearchNode(
+            g, *(Bounds.from_packing(g, FractionalPacking(c)) for c in (RED, BLUE))
+        )
         for t in (pack_value - 1, pack_value):
             settled, solves = settle(trivial, t)
             assert solves <= 2 and not settled.straddles(t)
             assert (prune(settled, t) is not None) == (pack_value > t)
             most_solves = max(most_solves, solves)
     assert most_solves == 2
-
-
-def trivial_bounds(g, color):
-    edges = {e for t in g.monochromatic_triangles(color) for e in triangle_edges(t)}
-    cover = FractionalCover(color, dict.fromkeys(edges, F(1)))
-    return Bounds(FractionalPacking(color), cover, F(0), F(len(edges)), {})
 
 
 def test_empty_seed_search_decisions():
@@ -179,8 +178,7 @@ def test_lp_solves_counts_every_search_lp(monkeypatch):
     _, report = run_search(seeds, SearchConfig(n_end=6))
     solves = [report.at(n).lp_solves for n in (4, 5, 6)]
     assert all(k > 0 for k in solves)
-    # two more for the seed's own solve_node
-    assert len(calls) == sum(solves) + 2 * len(seeds)
+    assert len(calls) == sum(solves)
 
 
 def test_bad_filters_fail_before_any_lp(monkeypatch):
@@ -335,7 +333,7 @@ def test_failed_checkpoint_keeps_previous_snapshot(tmp_path, monkeypatch):
     assert [n.graph for n in again.frontier] == [n.graph for n in state.frontier]
 
 
-def test_resume_loads_report_without_lp_solves(tmp_path):
+def test_resume_loads_report_without_lp_solves(tmp_path, monkeypatch):
     path = os.path.join(tmp_path, "ckpt.json")
     run_search([ColoredGraph(3, "RRB")], SearchConfig(n_end=4), checkpoint_path=path)
     with open(path) as fh:
@@ -346,22 +344,81 @@ def test_resume_loads_report_without_lp_solves(tmp_path):
     }
     with open(path, "w") as fh:
         json.dump(payload, fh)
+    calls = []
+    monkeypatch.setattr(search_mod, "nu_star", lambda g, color: calls.append(g))
     state = resume(path)
     assert state.report.at(4).lp_solves == 0
     assert state.report.at(4).completed == 5
-    assert all(n.red.lo == n.red.hi and n.blue.lo == n.blue.hi for n in state.frontier)
+    # resume solves no LP: each node starts from its PACKCERT's packings
+    assert calls == []
+    assert len(state.frontier) == len(payload["frontier"]) > 0
+    for node, item in zip(state.frontier, payload["frontier"]):
+        g, red, blue, _ = certs.parse_packcert(item["packcert"])
+        assert (node.graph, node.red.packing, node.blue.packing) == (g, red, blue)
 
 
-def test_resume_continues_equivalently(tmp_path):
-    path = os.path.join(tmp_path, "ckpt.json")
+def test_resume_continues_equivalently(tmp_path, monkeypatch):
+    # a resumed search makes the uninterrupted one's decisions level by level;
+    # only lp_solves may differ, since a resumed node starts without its covers
     seeds = [ColoredGraph(3, "RRB")]
-    run_search(seeds, SearchConfig(n_end=4), checkpoint_path=path)
+    cfg = SearchConfig(n_end=7, filters={7: BipartiteFilter(1)})
+    written = {}  # level -> (frontier nodes, checkpoint text)
+    write = search_mod.checkpoint
+
+    def recorded(state, path):
+        write(state, path)
+        with open(path) as fh:
+            written[state.level] = (state.frontier, fh.read())
+
+    monkeypatch.setattr(search_mod, "checkpoint", recorded)
+    path = os.path.join(tmp_path, "ckpt.json")
+    direct_levels, direct = run_search(seeds, cfg, checkpoint_path=path)
+    monkeypatch.undo()
+    assert sorted(written) == [4, 5, 6, 7] and direct.at(7).filtered > 0
+
+    def keys(graphs):
+        return [canonical_key(g)[0].key for g in graphs]
+
+    def same_as_direct(text, level):
+        with open(path, "w") as fh:
+            fh.write(text)
+        levels, report = run_search([], cfg, state=resume(path))
+        for n in range(level + 1, 8):
+            got, want = report.at(n), direct.at(n)
+            for name in ("pruned", "completed", "duplicates", "filtered", "survivors"):
+                assert getattr(got, name) == getattr(want, name), (level, n, name)
+            assert keys(levels[n]) == keys(direct_levels[n]), (level, n)
+
+    for level, (frontier, text) in written.items():
+        # a PACKCERT claims the lower bound its node carries, and the node
+        # is within the threshold it was found under
+        items = json.loads(text)["frontier"]
+        assert len(items) == len(frontier) > 0
+        for node, item in zip(frontier, items):
+            g, _, _, claim = certs.parse_packcert(item["packcert"])
+            assert g == node.graph and claim == 3 * (node.red.lo + node.blue.lo)
+            assert pack(g).value <= default_threshold(level - 1)
+        if level < 7:
+            same_as_direct(text, level)
+    # a checkpoint holding exact packings resumes to the same survivors; at
+    # level 6 some carried packings are not optimal
+    with open(path, "w") as fh:
+        fh.write(written[6][1])
     state = resume(path)
-    resumed_levels, _ = run_search([], SearchConfig(n_end=5), state=state)
-    direct_levels, _ = run_search(seeds, SearchConfig(n_end=5))
-    got = {canonical_key(g)[0].key for g in resumed_levels[5]}
-    want = {canonical_key(g)[0].key for g in direct_levels[5]}
-    assert got == want
+    exact = [exact_node(n.graph) for n in state.frontier]
+    checkpoint(SearchState(6, exact, state.report), path)
+    with open(path) as fh:
+        exact_text = fh.read()
+    assert exact_text != written[6][1]
+    same_as_direct(exact_text, 6)
+
+
+def relabelled(g, order):
+    """g with vertex order[v] renamed v."""
+    n = g.n
+    return ColoredGraph(
+        n, "".join(g.color_of(order[p], order[q]) for p in range(n) for q in range(p + 1, n))
+    )
 
 
 def test_resume_rejects_corrupt_and_mismatched(tmp_path):
@@ -394,6 +451,9 @@ def test_resume_rejects_corrupt_and_mismatched(tmp_path):
 
     with open(good) as fh:
         text = fh.read()
+    first = certs.parse_packcert(json.loads(text)["frontier"][0]["packcert"])[0]
+    copy = relabelled(first, [1, 2, 3, 0])
+    assert copy != first
     edits = [
         lambda p: p.pop("level"),
         lambda p: p.pop("frontier"),
@@ -413,6 +473,9 @@ def test_resume_rejects_corrupt_and_mismatched(tmp_path):
         # a frontier graph of the wrong size, or one with unassigned edges
         lambda p: p["frontier"].append(item(ColoredGraph(3, "RRB"))),
         lambda p: p["frontier"].append(item(ColoredGraph(4, "RRBRB."))),
+        # a frontier item repeated, or one isomorphic to another
+        lambda p: p["frontier"].append(p["frontier"][0]),
+        lambda p: p["frontier"].append(item(copy)),
     ]
     variants = [[json.loads(text)]]  # a list, not a checkpoint object
     for edit in edits:
