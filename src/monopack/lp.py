@@ -1,13 +1,14 @@
 """Certified fractional triangle packing computations.
 
 All results are exact rationals.  The default solve path runs a float LP
-(scipy/HiGHS) for speed and snaps its primal and dual solutions to nearby
-fractions.  It accepts them only if both pass the same feasibility checks
-that replay certificates and the values those checks return agree exactly;
-otherwise it falls back to the exact rational simplex.  Either way, a
-returned `SolveResult` carries matching primal and dual certificates.  Each
-check runs in integers over one common denominator and returns the value it
-has just verified, so no consumer sums the weights again.
+for speed, one direct call into the HiGHS solver that scipy ships, and
+snaps its primal and dual solutions to nearby fractions.  It accepts them
+only if both pass the same feasibility checks that replay certificates and
+the values those checks return agree exactly; otherwise it falls back to
+the exact rational simplex.  Either way, a returned `SolveResult` carries
+matching primal and dual certificates.  Each check runs in integers over one
+common denominator and returns the value it has just verified, so no
+consumer sums the weights again.
 
 `solve_loads` is the one solver for triangle weights with prescribed edge
 loads; `prescribed_packing` (with `frac_decomposition`, its case of load 1
@@ -25,7 +26,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linprog
+
+try:
+    from scipy.optimize._highspy import _core as highs
+except ImportError as exc:  # scipy < 1.15 has no such binding
+    raise ImportError(
+        "monopack needs scipy >= 1.15 for its HiGHS binding scipy.optimize._highspy._core"
+    ) from exc
 
 from .graph import BLUE, COLORS, RED, ColoredGraph, Edge, Triangle, norm_edge
 from .simplex import ONE, ZERO, simplex_max_leq
@@ -196,20 +203,48 @@ def rationalize(
     return SolveResult(packing, cover)
 
 
-def _float_solve(triangles: list[Triangle], edges: list[Edge]):
-    """Float LP for max total weight; returns (weights, duals) or None."""
-    a = np.zeros((len(edges), len(triangles)))
-    a[incidence(triangles, edges)] = 1.0
-    res = linprog(
-        c=-np.ones(len(triangles)),
-        A_ub=a,
-        b_ub=np.ones(len(edges)),
-        bounds=(0, None),  # x <= 1 is implied by the edge constraints
-        method="highs",
-    )
-    if not res.success:
+def linprog(c, rows, num_row: int):
+    """Minimise c.x subject to A x <= 1 and x >= 0, where column j of the
+    0/1 matrix A has its three ones in rows[3j:3j+3], with a fresh HiGHS
+    instance.
+
+    Returns (x, y) if HiGHS reports the model optimal, else None; y, the
+    negated row duals, is >= 0 and optimal for min 1.y over A^T y >= -c.
+    """
+    num_col = len(c)
+    lp = highs.HighsLp()
+    lp.num_col_ = num_col
+    lp.num_row_ = num_row
+    lp.col_cost_ = c
+    lp.col_lower_ = np.zeros(num_col)
+    lp.col_upper_ = np.full(num_col, highs.kHighsInf)  # x <= 1 is implied by the rows
+    lp.row_lower_ = np.full(num_row, -highs.kHighsInf)
+    lp.row_upper_ = np.ones(num_row)
+    a = lp.a_matrix_
+    a.format_ = highs.MatrixFormat.kColwise
+    a.num_col_ = num_col
+    a.num_row_ = num_row
+    a.start_ = np.arange(0, 3 * num_col + 1, 3)
+    a.index_ = rows
+    a.value_ = np.ones(3 * num_col)
+    solver = highs._Highs()
+    solver.setOptionValue("output_flag", False)
+    solver.passModel(lp)
+    solver.run()
+    if solver.getModelStatus() != highs.HighsModelStatus.kOptimal:
         return None
-    return res.x, -np.asarray(res.ineqlin.marginals)
+    solution = solver.getSolution()
+    return np.array(solution.col_value), -np.array(solution.row_dual)
+
+
+def _float_solve(triangles: list[Triangle], edges: list[Edge]):
+    """Float LP for max total weight; returns (weights, duals) or None.
+
+    `edges` must hold every edge of every triangle, so that each triangle's
+    column has exactly three rows (`incidence` lists them column by column).
+    """
+    rows, _ = incidence(triangles, edges)
+    return linprog(c=-np.ones(len(triangles)), rows=rows, num_row=len(edges))
 
 
 def _exact_solve(triangles: list[Triangle], edges: list[Edge], color: str):

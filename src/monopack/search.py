@@ -32,7 +32,8 @@ from fractions import Fraction
 
 from . import certs
 from .canonical import canonical_key
-from .graph import BLUE, RED, UNASSIGNED, ColoredGraph, Edge, parse_decimal
+from .graph import BLUE, RED, UNASSIGNED, ColoredGraph, Edge, GraphFormatError, parse_decimal
+from .graph import parse as parse_graph
 from .lp import FractionalCover, FractionalPacking, certified_exceeds, nu_star
 from .simplex import ONE, ZERO
 from .structure import bip_distance_at_most, pentagon_distance
@@ -389,8 +390,9 @@ def checkpoint(state: SearchState, path: str) -> None:
 
 def resume(path: str) -> SearchState:
     """The state in a checkpoint; ValueError unless it is well formed and its
-    frontier passes `check_frontier` with valid PACKCERTs.  Each node starts
-    from its PACKCERT's packings; no LP is solved."""
+    frontier passes `check_frontier` with valid PACKCERTs, each for the graph
+    its item's `graph` field names.  Each node starts from its PACKCERT's
+    packings; no LP is solved."""
     with open(path) as fh:
         try:
             payload = json.load(fh)
@@ -419,11 +421,18 @@ def resume(path: str) -> SearchState:
         report.levels[n] = LevelStats(**stats)
     frontier = []
     for item in items:
-        text = item.get("packcert") if type(item) is dict else None
-        ok, msg = certs.verify_packcert(text) if type(text) is str else (False, "missing")
+        if type(item) is not dict or type(item.get("graph")) is not str:
+            raise ValueError("checkpoint frontier item has no graph")
+        try:
+            g = parse_graph(item["graph"])
+        except GraphFormatError as exc:
+            raise ValueError(f"checkpoint frontier graph rejected: {exc}") from exc
+        # the PACKCERT must certify the very graph the item names
+        text = item.get("packcert")
+        ok, msg = certs.verify_packcert(text, g) if type(text) is str else (False, "missing")
         if not ok:
             raise ValueError(f"checkpoint PACKCERT rejected: {msg}")
-        g, red, blue, _ = certs.parse_packcert(text)
+        _, red, blue, _ = certs.parse_packcert(text)
         frontier.append(SearchNode(g, Bounds.from_packing(g, red), Bounds.from_packing(g, blue)))
     check_frontier([node.graph for node in frontier], level)
     return SearchState(level, frontier, report)

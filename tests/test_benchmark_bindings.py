@@ -11,7 +11,9 @@ return None exactly when they do not cut or match.  These tests only read
 import importlib.util
 import os
 
-from monopack.constructions import BlobSpec, pentagon_blowup
+from monopack.constructions import BlobSpec, flipped_blowup, pentagon_blowup
+from monopack.graph import BLUE, RED, ColoredGraph
+from monopack.lp import pack
 from monopack.search import PentagonFilter, SearchConfig, run_search
 
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
@@ -50,3 +52,24 @@ def test_traced_hits_match_the_search_report():
     assert spans["pentagon"]["hits"] == sum(s.filtered for s in levels) > 0
     # every LP the search solves is in the report, the seed's among them
     assert spans["nu_star"]["calls"] == sum(s.lp_solves for s in levels) > 0
+
+
+def test_tracer_sees_one_highs_call_per_colour_class():
+    # `lp.lp_vars` is the summed length of the `c=` cost vector of each traced
+    # `monopack.lp.linprog` call: one column per monochromatic triangle
+    tracing = load_tracing()
+    # triangles of both colours, of red only, and none at all
+    graphs = [
+        pentagon_blowup(BlobSpec((3, 1, 3, 1, 2), (RED, RED, BLUE, RED, BLUE)))[0],
+        flipped_blowup(BlobSpec((1, 1, 1, 2, 2))),
+        ColoredGraph.from_red_edges(5, [(i, (i + 1) % 5) for i in range(5)]),
+    ]
+    for g in graphs:
+        classes = [len(g.monochromatic_triangles(c)) for c in (RED, BLUE)]
+        tracer = tracing.Tracer()
+        with tracer.patch():
+            pack(g)
+        spans, solved, accepted = tracing.summarize(tracer.spans)
+        highs = spans.get("highs", tracing._EMPTY)
+        assert highs["calls"] == solved == accepted == sum(k > 0 for k in classes)
+        assert highs["result_sum"] == sum(classes)

@@ -1,11 +1,20 @@
+import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from monopack import lp
+from monopack.certs import format_covercert, format_packcert
+from monopack.constructions import TABLE1, BlobSpec, flipped_blowup, pentagon_blowup
 from monopack.graph import BLUE, RED, ColoredGraph
 from monopack.lp import (
     certified_exceeds,
@@ -18,6 +27,7 @@ from monopack.lp import (
     solve_loads,
     triangle_edges,
 )
+from monopack.search import SearchConfig, run_search
 from monopack.structure import bip_distance_at_most, e_bip, min_bipartition_deletions
 
 F = Fraction
@@ -136,6 +146,88 @@ def test_float_path_checks_cover_against_the_solved_triangles(monkeypatch):
     monkeypatch.undo()
     for h, res in solved:
         res.cover.check_feasible(h)
+
+
+def table1_graph(sizes, flipped):
+    spec = BlobSpec(tuple(sizes))
+    return flipped_blowup(spec) if flipped else pentagon_blowup(spec)[0]
+
+
+def test_float_solve_matches_scipy_linprog():
+    """The direct HiGHS call returns the very floats scipy's `linprog` does."""
+    rng = random.Random(43)
+    graphs = [random_graph(rng, n) for n in range(4, 17) for _ in range(3)]
+    partial = random_graph(rng, 12)
+    graphs.append(ColoredGraph(12, "".join(
+        "." if rng.random() < 0.3 else c for c in partial.colors
+    )))
+    sizes, flipped, _ = TABLE1[1]
+    graphs.append(table1_graph(sizes, flipped))
+    solved = 0
+    for g in graphs:
+        for color in (RED, BLUE):
+            tris = g.monochromatic_triangles(color)
+            if not tris:
+                continue
+            edges = sorted({e for t in tris for e in triangle_edges(t)})
+            a = np.zeros((len(edges), len(tris)))
+            a[lp.incidence(tris, edges)] = 1.0
+            res = linprog(
+                c=-np.ones(len(tris)), A_ub=a, b_ub=np.ones(len(edges)),
+                bounds=(0, None), method="highs",
+            )
+            assert res.success
+            xs, duals = lp._float_solve(tris, edges)
+            assert np.array_equal(xs, res.x), g
+            assert np.array_equal(duals, -res.ineqlin.marginals), g
+            solved += 1
+    assert solved > len(graphs)
+
+
+def test_missing_highs_binding_fails_at_import():
+    code = (
+        "import sys; sys.modules['scipy.optimize._highspy._core'] = None; "
+        "import monopack"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode != 0
+    assert "monopack needs scipy >= 1.15" in run.stderr
+
+
+LP_GOLDEN = os.path.join(os.path.dirname(__file__), "lp_golden.json")
+
+
+def cert_digest(g):
+    """sha256 over g's PACKCERT and its red and blue COVERCERTs."""
+    p = pack(g)
+    text = (
+        format_packcert(g, p.red.packing, p.blue.packing)
+        + format_covercert(g, p.red.cover)
+        + format_covercert(g, p.blue.cover)
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def search_checkpoint_digest(path):
+    """sha256 of the checkpoint the empty-seed search to n = 7 leaves at `path`."""
+    run_search([ColoredGraph.empty()], SearchConfig(n_end=7), checkpoint_path=path)
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def test_certificates_and_checkpoint_match_recorded(tmp_path):
+    """Certificate and checkpoint bytes recorded with scipy's `linprog` as
+    the float solver: random colourings with n = 5-18, every other TABLE1
+    row and bip(16, 8)."""
+    with open(LP_GOLDEN) as fh:
+        golden = json.load(fh)
+    assert len(golden["graphs"]) == 40
+    for r in golden["graphs"]:
+        assert cert_digest(ColoredGraph(r["n"], r["colors"])) == r["sha256"], r["name"]
+    path = str(tmp_path / "grow7.json")
+    assert search_checkpoint_digest(path) == golden["checkpoint_sha256"]
 
 
 def test_certified_exceeds_is_strict_and_sound():

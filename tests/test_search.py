@@ -9,7 +9,7 @@ from monopack import certs, search as search_mod
 from monopack.cli import main
 from monopack.canonical import canonical_key
 from monopack.constructions import BlobSpec, flipped_blowup, pentagon_blowup
-from monopack.graph import BLUE, RED, UNASSIGNED, ColoredGraph
+from monopack.graph import BLUE, RED, UNASSIGNED, ColoredGraph, parse
 from monopack.lp import FractionalPacking, nu_star, pack
 from monopack.search import (
     BipartiteFilter,
@@ -461,6 +461,7 @@ def test_resume_rejects_corrupt_and_mismatched(tmp_path):
         # a frontier kept up to isomorphism without colour swap
         lambda p: p.update(admit_swap=False),
         lambda p: p["frontier"][0].pop("packcert"),
+        lambda p: p["frontier"][0].pop("graph"),
         lambda p: p["frontier"][0].update(packcert=7),
         lambda p: p["report"]["4"].update(speed=1),
         lambda p: p["report"].update({"5": {"pruned": "x"}}),
@@ -490,6 +491,27 @@ def test_resume_rejects_corrupt_and_mismatched(tmp_path):
         assert main(["search", "--resume", path, "--n-end", "5"]) == 2
     # the unmodified checkpoint still resumes from the CLI
     assert main(["search", "--resume", good, "--n-end", "5"]) == 0
+
+
+def test_resume_checks_each_item_graph_field(tmp_path):
+    path = os.path.join(tmp_path, "ckpt.json")
+    run_search([ColoredGraph(3, "RRB")], SearchConfig(n_end=4), checkpoint_path=path)
+    with open(path) as fh:
+        text = fh.read()
+    first = parse(json.loads(text)["frontier"][0]["graph"])
+    # a garbled field, and another valid K_4 colouring than the PACKCERT's
+    other = first.flip_edge(0, 1)
+    cases = [
+        ("n=9\nnonsense\n", "frontier graph rejected"),
+        (other.serialize(), "certificate graph differs from the supplied graph"),
+    ]
+    for field, message in cases:
+        payload = json.loads(text)
+        payload["frontier"][0]["graph"] = field
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        with pytest.raises(ValueError, match=message):
+            resume(path)
 
 
 def test_blowup_extension_shadows_known_families():
