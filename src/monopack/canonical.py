@@ -34,7 +34,6 @@ from .graph import ColoredGraph
 class CanonicalKey:
     key: str  # serialized colour array of the canonical representative
     n: int
-    swap_admitted: bool
 
     def graph(self) -> ColoredGraph:
         return ColoredGraph(self.n, self.key)
@@ -226,10 +225,7 @@ def canonical_key(
     perm = [0] * g.n
     for p, v in enumerate(order):
         perm[v] = p
-    return (
-        CanonicalKey(key_str, g.n, admit_swap),
-        RelabelWitness(tuple(perm), swapped),
-    )
+    return CanonicalKey(key_str, g.n), RelabelWitness(tuple(perm), swapped)
 
 
 def are_isomorphic(g: ColoredGraph, h: ColoredGraph, admit_swap: bool = False) -> bool:

@@ -155,8 +155,6 @@ def cmd_canon(args) -> int:
 def cmd_pentagon(args) -> int:
     g = _load_graph(args.graph)
     _require_complete(g)
-    if g.n < 5:
-        raise CliError("pentagon blow-ups need at least 5 vertices", EXIT_PRECONDITION)
     cert = pentagon_distance(g, args.max_flips)
     if cert is None:
         _emit({"pentagon": None, "max_flips": args.max_flips})
@@ -175,8 +173,6 @@ def cmd_pentagon(args) -> int:
 
 def cmd_bipdist(args) -> int:
     g = _load_graph(args.graph)
-    if args.k < 0:
-        raise CliError("k must be non-negative", EXIT_PRECONDITION)
     cert = bip_distance_at_most(g.n, g.edges_of_color(args.color), args.k)
     if cert is None:
         _emit({"bipartite_within": None, "color": args.color, "k": args.k})
@@ -201,18 +197,12 @@ def cmd_construct(args) -> int:
             sizes = tuple(parse_decimal(s) for s in args.sizes.split(","))
         except (AttributeError, ValueError):
             raise CliError("--sizes must be five comma-separated integers", EXIT_PRECONDITION)
-        try:
-            spec = BlobSpec(sizes)
-            g = flipped_blowup(spec) if args.flip else pentagon_blowup(spec)[0]
-        except ValueError as exc:
-            raise CliError(str(exc), EXIT_PRECONDITION) from exc
+        spec = BlobSpec(sizes)
+        g = flipped_blowup(spec) if args.flip else pentagon_blowup(spec)[0]
     else:
         if args.n is None or args.m is None:
             raise CliError("bipartite construction needs -n and -m", EXIT_PRECONDITION)
-        try:
-            g = bipartite_minus_matching(args.n, args.m)
-        except ValueError as exc:
-            raise CliError(str(exc), EXIT_PRECONDITION) from exc
+        g = bipartite_minus_matching(args.n, args.m)
     sys.stdout.write(g.serialize())
     return EXIT_OK
 
@@ -275,12 +265,9 @@ def cmd_search(args) -> int:
         seeds = [_load_graph(p) for p in args.seed]
     else:
         seeds = [ColoredGraph.empty()]
-    try:
-        levels, report = search_mod.run_search(
-            seeds, cfg, checkpoint_path=args.checkpoint, state=state
-        )
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_PRECONDITION) from exc
+    levels, report = search_mod.run_search(
+        seeds, cfg, checkpoint_path=args.checkpoint, state=state
+    )
     for n in sorted(report.levels):
         stats = report.levels[n]
         _emit({"level": n, **vars(stats)})
@@ -368,6 +355,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except ValueError as exc:  # a library precondition; parse errors are CliErrors
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
 
 
 if __name__ == "__main__":

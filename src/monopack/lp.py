@@ -5,9 +5,9 @@ for speed, one direct call into the HiGHS solver that scipy ships, and
 snaps its primal and dual solutions to nearby fractions.  It accepts them
 only if both pass the same feasibility checks that replay certificates and
 the values those checks return agree exactly; otherwise it falls back to
-the exact rational simplex.  Either way, a returned `SolveResult` carries
-matching primal and dual certificates.  Each check runs in integers over one
-common denominator and returns the value it has just verified, so no
+the exact rational simplex.  Either way, the returned `Bounds` carries a
+packing and a cover of one value, lo == hi.  Each check runs in integers over
+one common denominator and returns the value it has just verified, so no
 consumer sums the weights again.
 
 `solve_loads` is the one solver for triangle weights with prescribed edge
@@ -147,19 +147,23 @@ class FractionalCover:
 
 
 @dataclass(frozen=True)
-class SolveResult:
-    """An optimal packing with the cover that proves it optimal."""
+class Bounds:
+    """lo <= nu* <= hi for one colour class: a feasible packing and a
+    feasible cover with their values lo and hi.  `nu_star` returns an
+    optimal pair, with lo == hi."""
 
     packing: FractionalPacking
     cover: FractionalCover
+    lo: Fraction
+    hi: Fraction
 
-    @property
-    def primal_value(self) -> Fraction:
-        return self.packing.value()
-
-    @property
-    def dual_value(self) -> Fraction:
-        return self.cover.value()
+    @classmethod
+    def from_packing(cls, g: ColoredGraph, packing: FractionalPacking) -> Bounds:
+        """The bounds of a feasible packing of g and the cover that puts
+        weight 1 on each edge of its colour; no LP."""
+        color = packing.color
+        cover = FractionalCover(color, dict.fromkeys(g.edges_of_color(color), ONE))
+        return cls(packing, cover, packing.value(), cover.value())
 
 
 @dataclass(frozen=True)
@@ -167,8 +171,8 @@ class PackValue:
     """pack(G) = 3(nu*_red + nu*_blue), with both LP certificates."""
 
     value: Fraction
-    red: SolveResult
-    blue: SolveResult
+    red: Bounds
+    blue: Bounds
 
 
 def _snap(keys: list, values) -> dict:
@@ -184,23 +188,24 @@ def _snap(keys: list, values) -> dict:
 
 def rationalize(
     xs, duals, triangles: list[Triangle], edges: list[Edge], g: ColoredGraph, color: str
-) -> SolveResult | None:
+) -> Bounds | None:
     """Certified rationalisation of a float LP solution, or None.
 
     `xs` weights `triangles` and `duals` weights `edges`.  Both are snapped
     to nearby fractions; the result is accepted only if both certificates
-    pass their feasibility checks and the values they return agree exactly.
-    `triangles` must be all of g's `color` triangles: the cover is checked
-    against that list.
+    pass their feasibility checks and the values they return agree exactly,
+    and that value is both lo and hi.  `triangles` must be all of g's
+    `color` triangles: the cover is checked against that list.
     """
     packing = FractionalPacking(color, _snap(triangles, xs))
     cover = FractionalCover(color, _snap(edges, duals))
     try:
-        if packing.check_feasible(g) != cover.check_covers(triangles):
+        value = packing.check_feasible(g)
+        if value != cover.check_covers(triangles):
             return None
     except ValueError:
         return None
-    return SolveResult(packing, cover)
+    return Bounds(packing, cover, value, value)
 
 
 def linprog(c, rows, num_row: int):
@@ -253,10 +258,10 @@ def _exact_solve(triangles: list[Triangle], edges: list[Edge], color: str):
     x, y, _ = simplex_max_leq(incidence_rows(triangles, edges), b, c)
     packing = FractionalPacking(color, {t: w for t, w in zip(triangles, x) if w > 0})
     cover = FractionalCover(color, {e: w for e, w in zip(edges, y) if w > 0})
-    return SolveResult(packing, cover)
+    return Bounds(packing, cover, packing.value(), cover.value())
 
 
-def nu_star(g: ColoredGraph, color: str, exact_only: bool = False) -> SolveResult:
+def nu_star(g: ColoredGraph, color: str, exact_only: bool = False) -> Bounds:
     """Maximum fractional triangle packing of one colour class, certified.
 
     Triangles touching unassigned edges contribute no LP variable, so on a
@@ -265,7 +270,7 @@ def nu_star(g: ColoredGraph, color: str, exact_only: bool = False) -> SolveResul
     """
     triangles = g.monochromatic_triangles(color)
     if not triangles:
-        return SolveResult(FractionalPacking(color), FractionalCover(color))
+        return Bounds(FractionalPacking(color), FractionalCover(color), ZERO, ZERO)
     edges = sorted({e for t in triangles for e in triangle_edges(t)})
 
     if not exact_only:
@@ -282,7 +287,7 @@ def pack(g: ColoredGraph) -> PackValue:
     """pack(G): total edge weight of the best monochromatic packings of both colours."""
     red = nu_star(g, RED)
     blue = nu_star(g, BLUE)
-    return PackValue(3 * (red.primal_value + blue.primal_value), red, blue)
+    return PackValue(3 * (red.lo + blue.lo), red, blue)
 
 
 def certified_exceeds(

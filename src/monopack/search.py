@@ -32,9 +32,11 @@ from fractions import Fraction
 
 from . import certs
 from .canonical import canonical_key
-from .graph import BLUE, RED, UNASSIGNED, ColoredGraph, Edge, GraphFormatError, parse_decimal
+from .graph import BLUE, RED, UNASSIGNED, ColoredGraph, GraphFormatError, parse_decimal
 from .graph import parse as parse_graph
-from .lp import FractionalCover, FractionalPacking, certified_exceeds, nu_star
+from .lp import (
+    Bounds, FractionalCover, FractionalPacking, certified_exceeds, nu_star, triangle_edges,
+)
 from .simplex import ONE, ZERO
 from .structure import bip_distance_at_most, pentagon_distance
 
@@ -79,71 +81,47 @@ class SearchConfig:
     filters: dict = field(default_factory=dict)  # level -> filter instance
 
 
-@dataclass(frozen=True)
-class Bounds:
-    """lo <= nu* <= hi for one colour class of a node's assigned part.
+def grow(bounds: Bounds, g: ColoredGraph, v: int) -> Bounds:
+    """The bounds once edge (v, newest) of g has the bounds' colour.
 
-    lo is the value of a feasible packing and hi that of a feasible cover;
-    both are kept alongside them, as are the packing's edge loads.
+    The new triangles are v w u for each w joined to v and to the newest
+    vertex u in this colour.  In w order, each gets the largest weight its
+    three edges still admit; the cover gives (v, u) the weight the
+    least-covered of them lacks.
     """
-
-    packing: FractionalPacking
-    cover: FractionalCover
-    lo: Fraction
-    hi: Fraction
-    loads: dict[Edge, Fraction]
-
-    @classmethod
-    def from_packing(cls, g: ColoredGraph, packing: FractionalPacking) -> Bounds:
-        """The bounds of a feasible packing of g and the cover that puts
-        weight 1 on each edge of its colour; no LP."""
-        color = packing.color
-        cover = FractionalCover(color, dict.fromkeys(g.edges_of_color(color), ONE))
-        return cls(packing, cover, packing.value(), cover.value(), packing.edge_loads())
-
-    @classmethod
-    def exact(cls, g: ColoredGraph, color: str) -> Bounds:
-        res = nu_star(g, color)
-        return cls(
-            res.packing, res.cover, res.primal_value, res.dual_value,
-            res.packing.edge_loads(),
-        )
-
-    def grow(self, g: ColoredGraph, v: int) -> Bounds:
-        """The bounds once edge (v, newest) of g has this colour.
-
-        The new triangles are v w u for each w joined to v and to the newest
-        vertex u in this colour.  In w order, each gets the largest weight
-        its three edges still admit; the cover gives (v, u) the weight the
-        least-covered of them lacks.
-        """
-        color = self.packing.color
-        u = g.n - 1
-        pairs = [
-            ((min(v, w), max(v, w)), (w, u))
-            for w in range(u)
-            if w != v and g.color_of(v, w) == color == g.color_of(w, u)
-        ]
-        if not pairs:
-            return self
-        vu = (v, u)
-        weights = dict(self.packing.weights)
-        loads = dict(self.loads)
-        lo = self.lo
-        for vw, wu in pairs:
-            r = ONE - max(loads.get(vw, ZERO), loads.get(wu, ZERO), loads.get(vu, ZERO))
-            if r > 0:
-                weights[(*vw, u)] = r
-                for e in (vw, wu, vu):
-                    loads[e] = loads.get(e, ZERO) + r
-                lo += r
-        y = self.cover.edge_weights
-        lack = ONE - min(y.get(vw, ZERO) + y.get(wu, ZERO) for vw, wu in pairs)
-        cover, hi = self.cover, self.hi
-        if lack > 0:
-            cover = FractionalCover(color, {**y, vu: lack})
-            hi += lack
-        return Bounds(FractionalPacking(color, weights), cover, lo, hi, loads)
+    color = bounds.packing.color
+    u = g.n - 1
+    pairs = [
+        ((min(v, w), max(v, w)), (w, u))
+        for w in range(u)
+        if w != v and g.color_of(v, w) == color == g.color_of(w, u)
+    ]
+    if not pairs:
+        return bounds
+    # vu is new, so no packed triangle holds it, and of the new triangles'
+    # edges only vu is shared, so only its load changes below; vw and wu
+    # lie only in packed triangles through v or u
+    loads = dict.fromkeys((e for pair in pairs for e in pair), ZERO)
+    for t, weight in bounds.packing.weights.items():
+        if v in t or u in t:
+            for e in triangle_edges(t):
+                if e in loads:
+                    loads[e] += weight
+    weights = dict(bounds.packing.weights)
+    lo, vu_load = bounds.lo, ZERO
+    for vw, wu in pairs:
+        r = ONE - max(loads[vw], loads[wu], vu_load)
+        if r > 0:
+            weights[(*vw, u)] = r
+            vu_load += r
+            lo += r
+    y = bounds.cover.edge_weights
+    lack = ONE - min(y.get(vw, ZERO) + y.get(wu, ZERO) for vw, wu in pairs)
+    cover, hi = bounds.cover, bounds.hi
+    if lack > 0:
+        cover = FractionalCover(color, {**y, (v, u): lack})
+        hi += lack
+    return Bounds(FractionalPacking(color, weights), cover, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -213,8 +191,8 @@ def expose(node: SearchNode, v: int) -> tuple[SearchNode, SearchNode]:
     u = g.n - 1
     red_g = g.set_edge(v, u, RED)
     blue_g = g.set_edge(v, u, BLUE)
-    red_child = SearchNode(red_g, node.red.grow(red_g, v), node.blue)
-    blue_child = SearchNode(blue_g, node.red, node.blue.grow(blue_g, v))
+    red_child = SearchNode(red_g, grow(node.red, red_g, v), node.blue)
+    blue_child = SearchNode(blue_g, node.red, grow(node.blue, blue_g, v))
     return red_child, blue_child
 
 
@@ -229,9 +207,9 @@ def settle(node: SearchNode, threshold: Fraction) -> tuple[SearchNode, int]:
     solves = 0
     while node.straddles(threshold):
         if node.red.hi - node.red.lo >= node.blue.hi - node.blue.lo:
-            node = replace(node, red=Bounds.exact(node.graph, RED))
+            node = replace(node, red=nu_star(node.graph, RED))
         else:
-            node = replace(node, blue=Bounds.exact(node.graph, BLUE))
+            node = replace(node, blue=nu_star(node.graph, BLUE))
         solves += 1
     return node, solves
 
@@ -403,7 +381,7 @@ def resume(path: str) -> SearchState:
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
     level, items = payload.get("level"), payload.get("frontier")
-    reports = payload.get("report", {})
+    reports = payload.get("report")
     if (type(level), type(items), type(reports)) != (int, list, dict):
         raise ValueError("checkpoint has a malformed level, frontier or report")
     # a frontier kept under another symmetry would mix its counts into ours

@@ -271,10 +271,10 @@ def test_criterion_8_duality_and_integrality():
         nonlocal ok
         for c in (RED, BLUE):
             res = nu_star(g, c)
-            if res.primal_value != res.dual_value:
+            if res.packing.value() != res.cover.value():
                 ok = False
             nu = integer_nu(g.n, g.edges_of_color(c))
-            if nu > res.primal_value:
+            if nu > res.lo:
                 ok = False
 
     for n in (3, 4, 5):

@@ -14,7 +14,9 @@ from scipy.optimize import linprog
 
 from monopack import lp
 from monopack.certs import format_covercert, format_packcert
-from monopack.constructions import TABLE1, BlobSpec, flipped_blowup, pentagon_blowup
+from monopack.constructions import (
+    TABLE1, BlobSpec, bipartite_minus_matching, flipped_blowup, pentagon_blowup,
+)
 from monopack.graph import BLUE, RED, ColoredGraph
 from monopack.lp import (
     certified_exceeds,
@@ -40,16 +42,16 @@ def random_graph(rng, n):
 def test_nu_star_k4_all_red():
     g = ColoredGraph.monochromatic(4)
     res = nu_star(g, RED)
-    assert res.primal_value == res.dual_value == 2
+    assert res.packing.value() == res.cover.value() == 2
     # the optimum is the uniform vertex: every triangle at weight 1/2
     res.packing.check_feasible(g)
     res.cover.check_feasible(g)
-    assert nu_star(g, BLUE).primal_value == 0
+    assert nu_star(g, BLUE).lo == 0
 
 
 def test_nu_star_k5_and_k7():
-    assert nu_star(ColoredGraph.monochromatic(5), RED).primal_value == F(10, 3)
-    assert nu_star(ColoredGraph.monochromatic(7), RED).primal_value == 7
+    assert nu_star(ColoredGraph.monochromatic(5), RED).lo == F(10, 3)
+    assert nu_star(ColoredGraph.monochromatic(7), RED).lo == 7
 
 
 def test_pack_values():
@@ -74,19 +76,19 @@ def test_exact_and_float_paths_agree():
         for c in (RED, BLUE):
             fast = nu_star(g, c)
             slow = nu_star(g, c, exact_only=True)
-            assert fast.primal_value == slow.primal_value
-            assert fast.primal_value == fast.dual_value
+            assert fast.lo == slow.lo
+            assert fast.packing.value() == fast.cover.value()
             fast.packing.check_feasible(g)
             fast.cover.check_feasible(g)
 
 
 def test_partial_colouring_uses_assigned_part_only():
     g = ColoredGraph.monochromatic(3).add_vertex()
-    assert nu_star(g, RED).primal_value == 1
+    assert nu_star(g, RED).lo == 1
     g = g.set_edge(0, 3, RED).set_edge(1, 3, RED)
-    assert nu_star(g, RED).primal_value == 1
+    assert nu_star(g, RED).lo == 1
     g = g.set_edge(2, 3, RED)
-    assert nu_star(g, RED).primal_value == 2
+    assert nu_star(g, RED).lo == 2
 
 
 def test_float_solution_failing_checks_falls_back_to_exact(monkeypatch):
@@ -106,13 +108,13 @@ def test_float_solution_failing_checks_falls_back_to_exact(monkeypatch):
     monkeypatch.setattr(lp, "_float_solve", lambda triangles, edges: overloaded)
     monkeypatch.setattr(lp, "_exact_solve", exact_solve)
     res = nu_star(g, RED)
-    assert res.primal_value == res.dual_value == 2
+    assert res.packing.value() == res.cover.value() == 2
     assert len(exact_calls) == 1
     res.packing.check_feasible(g)
     res.cover.check_feasible(g)
     # the optimum itself is accepted as it stands
     optimal = rationalize([0.5] * len(tris), [1 / 3] * len(edges), tris, edges, g, RED)
-    assert optimal.primal_value == optimal.dual_value == 2
+    assert optimal.packing.value() == optimal.cover.value() == 2
     assert optimal.packing.weights == {t: F(1, 2) for t in tris}
 
 
@@ -182,6 +184,24 @@ def test_float_solve_matches_scipy_linprog():
             assert np.array_equal(duals, -res.ineqlin.marginals), g
             solved += 1
     assert solved > len(graphs)
+
+
+def test_float_path_accepts_the_mid_size_lps(monkeypatch):
+    """Every LP here is accepted from HiGHS: falling back to the dense exact
+    simplex on LPs of this size costs seconds to minutes each."""
+    rng = random.Random(47)
+    graphs = [table1_graph(sizes, flipped) for sizes, flipped, _ in TABLE1]
+    graphs.append(bipartite_minus_matching(16, 8))
+    graphs.extend(random_graph(rng, 18) for _ in range(10))
+
+    def exact_solve(triangles, edges, color):
+        raise AssertionError(f"exact fallback on {len(triangles)} {color} triangles")
+
+    monkeypatch.setattr(lp, "_exact_solve", exact_solve)
+    for g in graphs:
+        for color in (RED, BLUE):
+            res = nu_star(g, color)
+            assert res.lo == res.hi
 
 
 def test_missing_highs_binding_fails_at_import():
@@ -416,4 +436,4 @@ def test_integer_at_most_fractional_small_random():
         g = random_graph(rng, rng.randint(4, 6))
         for c in (RED, BLUE):
             nu = integer_nu(g.n, g.edges_of_color(c))
-            assert nu <= nu_star(g, c).primal_value
+            assert nu <= nu_star(g, c).lo
