@@ -240,6 +240,8 @@ def _parse_filters(specs: list[str]) -> dict:
             level = parse_decimal(parts[0])
         except ValueError:
             raise CliError(f"bad filter {spec!r}", EXIT_PRECONDITION) from None
+        if level in filters:
+            raise CliError(f"filter {spec!r}: level {level} named twice", EXIT_PRECONDITION)
         if len(parts) == 2 and parts[1] == "pentagon":
             filters[level] = search_mod.PentagonFilter()
         elif len(parts) == 3 and parts[1] == "bip":

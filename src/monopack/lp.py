@@ -1,18 +1,18 @@
 """Certified fractional triangle packing computations.
 
-All results are exact rationals.  The default solve path runs a float LP
-for speed, one direct call into the HiGHS solver that scipy ships, and
-snaps its primal and dual solutions to nearby fractions.  It accepts them
-only if both pass the same feasibility checks that replay certificates and
-the values those checks return agree exactly; otherwise it falls back to
-the exact rational simplex.  Either way, the returned `Bounds` carries a
-packing and a cover of one value, lo == hi.  Each check runs in integers over
-one common denominator and returns the value it has just verified, so no
-consumer sums the weights again.
+All results are exact rationals.  Every LP here is max c.x over A x <= rhs,
+x >= 0, with A the edge x triangle incidence, and `_optimum` is its one
+solver.  It makes one direct call into the HiGHS solver that scipy ships
+and snaps the primal and dual solutions to nearby fractions.  It accepts
+them only if they pass the LP duality certificate, A x <= rhs, A^T y >= c
+and c.x == rhs.y, checked exactly in integers over common denominators;
+otherwise it falls back to the exact rational simplex.
 
-`solve_loads` is the one solver for triangle weights with prescribed edge
-loads; `prescribed_packing` (with `frac_decomposition`, its case of load 1
-on every edge) and the two-blob constructions all go through it.
+`nu_star` is the case rhs = c = 1: its `Bounds` carries a packing and a
+cover of one value, lo == hi.  `solve_loads`, with the prescribed edge loads
+as rhs, serves `prescribed_packing` (with `frac_decomposition`, its case of
+load 1 on every edge) and the two-blob constructions.  It reads a packing,
+whichever optimal vertex was certified, or a Farkas vector off the optimum.
 
 Scaling conventions: `nu_star` values are sums of triangle weights; the
 total edge weight of a colouring (the quantity thresholded by the search) is
@@ -62,14 +62,6 @@ def incidence(triangles: list[Triangle], edges: list[Edge]) -> tuple[list[int], 
                 rows.append(r)
                 cols.append(col)
     return rows, cols
-
-
-def incidence_rows(triangles: list[Triangle], edges: list[Edge]) -> list[list[Fraction]]:
-    """`incidence` as dense exact rows, one per edge."""
-    dense = [[ZERO] * len(triangles) for _ in edges]
-    for r, col in zip(*incidence(triangles, edges)):
-        dense[r][col] = ONE
-    return dense
 
 
 def _over_one_denominator(weights) -> tuple[int, list[int]]:
@@ -129,17 +121,14 @@ class FractionalCover:
         return Fraction(sum(scaled), d)
 
     def check_feasible(self, g: ColoredGraph) -> Fraction:
-        """The value of this cover of g's colour class; ValueError if infeasible."""
-        return self.check_covers(g.monochromatic_triangles(self.color))
-
-    def check_covers(self, triangles: list[Triangle]) -> Fraction:
-        """The cover's value; ValueError unless it is >= 0 and covers each triangle."""
+        """The value of this cover of g's colour class; ValueError unless it
+        is >= 0 and covers each of g's triangles of its colour."""
         d, scaled = _over_one_denominator(self.edge_weights.values())
         by_edge = dict(zip(self.edge_weights, scaled))
         for e, y in by_edge.items():
             if y < 0:
                 raise ValueError(f"edge {e} has negative cover weight {Fraction(y, d)}")
-        for t in triangles:
+        for t in g.monochromatic_triangles(self.color):
             s = sum(by_edge.get(e, 0) for e in triangle_edges(t))
             if s < d:
                 raise ValueError(f"triangle {t} is not covered: {Fraction(s, d)} < 1")
@@ -186,52 +175,62 @@ def _snap(keys: list, values) -> dict:
     return snapped
 
 
-def rationalize(
-    xs, duals, triangles: list[Triangle], edges: list[Edge], g: ColoredGraph, color: str
-) -> Bounds | None:
-    """Certified rationalisation of a float LP solution, or None.
+def rationalize(xs, ys, triangles: list[Triangle], edges: list[Edge], rhs, c):
+    """(x, y, value): the float solution `xs` on `triangles` and `ys` on
+    `edges`, snapped to positive fractions, if it passes the LP duality
+    certificate A x <= rhs, A^T y >= c and c.x == rhs.y; else None.
 
-    `xs` weights `triangles` and `duals` weights `edges`.  Both are snapped
-    to nearby fractions; the result is accepted only if both certificates
-    pass their feasibility checks and the values they return agree exactly,
-    and that value is both lo and hi.  `triangles` must be all of g's
-    `color` triangles: the cover is checked against that list.
+    Each check runs exactly, with x and y in integers over their common
+    denominators.  A pair that passes is optimal for max c.x over A x <= rhs,
+    x >= 0 and for its dual, and value is both objectives.
     """
-    packing = FractionalPacking(color, _snap(triangles, xs))
-    cover = FractionalCover(color, _snap(edges, duals))
-    try:
-        value = packing.check_feasible(g)
-        if value != cover.check_covers(triangles):
+    x = _snap(range(len(triangles)), xs)
+    y = _snap(range(len(edges)), ys)
+    dx, x_int = _over_one_denominator(x.values())
+    dy, y_int = _over_one_denominator(y.values())
+    loads = dict.fromkeys(edges, 0)  # A x <= rhs, with x over dx
+    for i, w in zip(x, x_int):
+        for e in triangle_edges(triangles[i]):
+            if e in loads:
+                loads[e] += w
+    for load, r in zip(loads.values(), rhs):
+        if load > r * dx:
             return None
-    except ValueError:
+    get = {edges[j]: w for j, w in zip(y, y_int)}.get  # A^T y >= c, with y over dy
+    for (i, j, k), ct in zip(triangles, c):
+        if get((i, j), 0) + get((i, k), 0) + get((j, k), 0) < ct * dy:
+            return None
+    cx = sum(c[i] * w for i, w in zip(x, x_int))  # c.x == rhs.y
+    if cx * dy != sum(rhs[j] * w for j, w in zip(y, y_int)) * dx:
         return None
-    return Bounds(packing, cover, value, value)
+    x = {triangles[i]: w for i, w in x.items()}
+    return x, {edges[j]: w for j, w in y.items()}, Fraction(cx, dx)
 
 
-def linprog(c, rows, num_row: int):
-    """Minimise c.x subject to A x <= 1 and x >= 0, where column j of the
-    0/1 matrix A has its three ones in rows[3j:3j+3], with a fresh HiGHS
-    instance.
+def linprog(c, rows, cols, rhs):
+    """Maximise c.x subject to A x <= rhs and x >= 0 with a fresh HiGHS
+    instance; the 0/1 matrix A has its ones at (rows[k], cols[k]), column
+    by column, as `incidence` lists them.
 
     Returns (x, y) if HiGHS reports the model optimal, else None; y, the
-    negated row duals, is >= 0 and optimal for min 1.y over A^T y >= -c.
+    negated row duals, is >= 0 and optimal for min rhs.y over A^T y >= c.
     """
-    num_col = len(c)
+    num_col, num_row = len(c), len(rhs)
     lp = highs.HighsLp()
     lp.num_col_ = num_col
     lp.num_row_ = num_row
-    lp.col_cost_ = c
+    lp.col_cost_ = -np.array(c, dtype=float)  # HiGHS minimises
     lp.col_lower_ = np.zeros(num_col)
-    lp.col_upper_ = np.full(num_col, highs.kHighsInf)  # x <= 1 is implied by the rows
+    lp.col_upper_ = np.full(num_col, highs.kHighsInf)
     lp.row_lower_ = np.full(num_row, -highs.kHighsInf)
-    lp.row_upper_ = np.ones(num_row)
+    lp.row_upper_ = np.array(rhs, dtype=float)
     a = lp.a_matrix_
     a.format_ = highs.MatrixFormat.kColwise
     a.num_col_ = num_col
     a.num_row_ = num_row
-    a.start_ = np.arange(0, 3 * num_col + 1, 3)
+    a.start_ = np.searchsorted(cols, np.arange(num_col + 1))
     a.index_ = rows
-    a.value_ = np.ones(3 * num_col)
+    a.value_ = np.ones(len(rows))
     solver = highs._Highs()
     solver.setOptionValue("output_flag", False)
     solver.passModel(lp)
@@ -242,45 +241,43 @@ def linprog(c, rows, num_row: int):
     return np.array(solution.col_value), -np.array(solution.row_dual)
 
 
-def _float_solve(triangles: list[Triangle], edges: list[Edge]):
-    """Float LP for max total weight; returns (weights, duals) or None.
+def _exact_solve(triangles: list[Triangle], edges: list[Edge], rhs, c):
+    """`_optimum` by the exact rational simplex on the dense incidence."""
+    a_rows = [[ZERO] * len(triangles) for _ in edges]
+    for r, col in zip(*incidence(triangles, edges)):
+        a_rows[r][col] = ONE
+    x, y, value = simplex_max_leq(a_rows, rhs, c)
+    x = {t: w for t, w in zip(triangles, x) if w > 0}
+    return x, {e: w for e, w in zip(edges, y) if w > 0}, value
 
-    `edges` must hold every edge of every triangle, so that each triangle's
-    column has exactly three rows (`incidence` lists them column by column).
+
+def _optimum(triangles: list[Triangle], edges: list[Edge], rhs, c):
+    """(x, y, value): positive weights x on `triangles` and y on `edges`,
+    optimal for max c.x over A x <= rhs, x >= 0 (rhs >= 0) and for its
+    dual, and their common value.  HiGHS's solution if `rationalize`
+    certifies it, else the exact simplex's.
     """
-    rows, _ = incidence(triangles, edges)
-    return linprog(c=-np.ones(len(triangles)), rows=rows, num_row=len(edges))
+    rows, cols = incidence(triangles, edges)
+    sol = linprog(c=c, rows=rows, cols=cols, rhs=rhs)
+    if sol is not None:
+        opt = rationalize(*sol, triangles, edges, rhs, c)
+        if opt is not None:
+            return opt
+    return _exact_solve(triangles, edges, rhs, c)
 
 
-def _exact_solve(triangles: list[Triangle], edges: list[Edge], color: str):
-    b = [ONE] * len(edges)
-    c = [ONE] * len(triangles)
-    x, y, _ = simplex_max_leq(incidence_rows(triangles, edges), b, c)
-    packing = FractionalPacking(color, {t: w for t, w in zip(triangles, x) if w > 0})
-    cover = FractionalCover(color, {e: w for e, w in zip(edges, y) if w > 0})
-    return Bounds(packing, cover, packing.value(), cover.value())
-
-
-def nu_star(g: ColoredGraph, color: str, exact_only: bool = False) -> Bounds:
+def nu_star(g: ColoredGraph, color: str) -> Bounds:
     """Maximum fractional triangle packing of one colour class, certified.
 
     Triangles touching unassigned edges contribute no LP variable, so on a
     partial colouring this is the maximum packing of the assigned part.
-    `exact_only` skips the float path; tests use it as the reference.
     """
     triangles = g.monochromatic_triangles(color)
     if not triangles:
         return Bounds(FractionalPacking(color), FractionalCover(color), ZERO, ZERO)
     edges = sorted({e for t in triangles for e in triangle_edges(t)})
-
-    if not exact_only:
-        sol = _float_solve(triangles, edges)
-        if sol is not None:
-            result = rationalize(*sol, triangles, edges, g, color)
-            if result is not None:
-                return result
-
-    return _exact_solve(triangles, edges, color)
+    x, y, value = _optimum(triangles, edges, [1] * len(edges), [1] * len(triangles))
+    return Bounds(FractionalPacking(color, x), FractionalCover(color, y), value, value)
 
 
 def pack(g: ColoredGraph) -> PackValue:
@@ -315,27 +312,25 @@ def solve_loads(
     and every capacity edge at most to its capacity (all non-negative).
 
     Returns (packing, None), or (None, farkas) when no such weights exist:
-    farkas maps the demand and capacity edges to rationals, is >= 0 on
-    capacity edges, has sum_{e in T} y_e >= 0 for every triangle T and
-    sum_e y_e * rhs_e < 0.
+    farkas maps the demand and capacity edges (no edge is both) to
+    rationals, is >= 0 on capacity edges, has sum_{e in T} y_e >= 0 for
+    every triangle T and sum_e y_e * rhs_e < 0.
 
-    Every row is a `<=` row, and the objective is the demand rows' column
-    sums, so the optimum is sum(demand) exactly when every demand is met.
-    Otherwise the demand duals less one, then the capacity duals, are the
-    Farkas vector (its value is the optimum minus sum(demand) < 0).
+    The objective is the demand rows' column sums, so the certified optimum
+    is sum(demand) exactly when every demand is met.  Otherwise its dual,
+    less one on the demand edges, is the Farkas vector: its value is the
+    optimum minus sum(demand) < 0.
     """
-    d_edges = sorted(demand)
-    c_edges = sorted(capacity)
-    rows = incidence_rows(triangles, d_edges + c_edges)
-    rhs = [demand[e] for e in d_edges] + [capacity[e] for e in c_edges]
+    if both := sorted(demand.keys() & capacity.keys()):
+        raise ValueError(f"edges {both} have both a demand and a capacity")
+    loads = {**demand, **capacity}
+    edges = sorted(loads)
     # a triangle's column sum over the demand rows: its demand edges
-    c = [Fraction(sum(e in demand for e in triangle_edges(t))) for t in triangles]
-    x, y, value = simplex_max_leq(rows, rhs, c)
-    k = len(d_edges)
-    if value != sum(rhs[:k], ZERO):
-        farkas = [yi - ONE for yi in y[:k]] + y[k:]
-        return None, dict(zip(d_edges + c_edges, farkas))
-    return FractionalPacking(RED, {t: w for t, w in zip(triangles, x) if w > 0}), None
+    c = [sum(e in demand for e in triangle_edges(t)) for t in triangles]
+    x, y, value = _optimum(triangles, edges, [loads[e] for e in edges], c)
+    if value != sum(demand.values(), ZERO):
+        return None, {e: y.get(e, ZERO) - (e in demand) for e in edges}
+    return FractionalPacking(RED, x), None
 
 
 # -- fractional decompositions -------------------------------------------

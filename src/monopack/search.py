@@ -396,6 +396,8 @@ def resume(path: str) -> SearchState:
         n = parse_decimal(key)
         if n in report.levels:
             raise ValueError(f"checkpoint report names level {n} twice")
+        if n > level:
+            raise ValueError(f"checkpoint report names level {n}, above its level {level}")
         report.levels[n] = LevelStats(**stats)
     frontier = []
     for item in items:

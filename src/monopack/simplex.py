@@ -3,8 +3,8 @@
 `simplex_max_leq` solves  max c^T x  s.t.  A x <= b, x >= 0  (b >= 0) and
 returns the optimal primal vertex together with the optimal dual vector,
 whose objective values agree exactly (strong duality read off the final
-tableau).  Feasibility questions are posed as such maximisations, and their
-Farkas vectors are read from the duals (see `lp.solve_loads`).
+tableau).  It is the fallback of `lp._optimum`, for the LPs whose float
+solution fails its duality certificate, and the tests' exact reference.
 
 Anti-cycling: entering columns are scanned in index order and the leaving
 row breaks ties by smallest basis index, i.e. Bland's rule, which

@@ -226,6 +226,11 @@ def test_bad_filter_fails_before_the_search(tmp_path, capsys, monkeypatch):
         assert main(["search", "--n-end", "6", "--filter", spec]) == 3
         out, err = capsys.readouterr()
         assert '"level"' not in out and err, spec
+    # a level named twice would keep only its last filter
+    argv = ["search", "--n-end", "6", "--filter", "5:bip:0", "--filter", "5:pentagon"]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "level 5 named twice" in err
     # an n_end below the seed's level would print the seed as the survivor
     seed = write_graph(tmp_path, pentagon_blowup(BlobSpec((1, 1, 1, 1, 1)))[0])
     assert main(["search", "--seed", seed, "--n-end", "3"]) == 3

@@ -15,7 +15,7 @@ from scipy.optimize import linprog
 from monopack import lp
 from monopack.certs import format_covercert, format_packcert
 from monopack.constructions import (
-    TABLE1, BlobSpec, bipartite_minus_matching, flipped_blowup, pentagon_blowup,
+    TABLE1, BlobSpec, ab_packing, bipartite_minus_matching, flipped_blowup, pentagon_blowup,
 )
 from monopack.graph import BLUE, RED, ColoredGraph
 from monopack.lp import (
@@ -69,14 +69,23 @@ def test_pentagon_coloring_packs_to_zero():
     assert pack(g).value == 0
 
 
+def packing_lp(g, color):
+    """g's `color` triangles, their edges and the unit rhs and objective of
+    its packing LP."""
+    tris = g.monochromatic_triangles(color)
+    edges = sorted({e for t in tris for e in triangle_edges(t)})
+    return tris, edges, [1] * len(edges), [1] * len(tris)
+
+
 def test_exact_and_float_paths_agree():
     rng = random.Random(5)
     for _ in range(25):
         g = random_graph(rng, rng.randint(4, 7))
         for c in (RED, BLUE):
             fast = nu_star(g, c)
-            slow = nu_star(g, c, exact_only=True)
-            assert fast.lo == slow.lo
+            tris, edges, rhs, ones = packing_lp(g, c)
+            if tris:
+                assert fast.lo == lp._exact_solve(tris, edges, rhs, ones)[2]
             assert fast.packing.value() == fast.cover.value()
             fast.packing.check_feasible(g)
             fast.cover.check_feasible(g)
@@ -93,11 +102,11 @@ def test_partial_colouring_uses_assigned_part_only():
 
 def test_float_solution_failing_checks_falls_back_to_exact(monkeypatch):
     g = ColoredGraph.monochromatic(4)
-    tris = g.monochromatic_triangles(RED)
-    edges = sorted({e for t in tris for e in triangle_edges(t)})
+    lp_args = packing_lp(g, RED)
+    tris, edges = lp_args[:2]
     # primal and dual both total 51/25, but every edge is loaded to 51/50
     overloaded = ([0.51] * len(tris), [0.34] * len(edges))
-    assert rationalize(*overloaded, tris, edges, g, RED) is None
+    assert rationalize(*overloaded, *lp_args) is None
     exact_calls = []
     real_exact_solve = lp._exact_solve
 
@@ -105,30 +114,40 @@ def test_float_solution_failing_checks_falls_back_to_exact(monkeypatch):
         exact_calls.append(args)
         return real_exact_solve(*args)
 
-    monkeypatch.setattr(lp, "_float_solve", lambda triangles, edges: overloaded)
+    monkeypatch.setattr(lp, "linprog", lambda **_: overloaded)
     monkeypatch.setattr(lp, "_exact_solve", exact_solve)
     res = nu_star(g, RED)
     assert res.packing.value() == res.cover.value() == 2
     assert len(exact_calls) == 1
     res.packing.check_feasible(g)
     res.cover.check_feasible(g)
+    # so does a loads LP: x = y = 0 fails A^T y >= c, though read as an
+    # optimum it would make K_4, which decomposes, look infeasible
+    def zeros(c, rows, cols, rhs):
+        return np.zeros(len(c)), np.zeros(len(rhs))
+
+    monkeypatch.setattr(lp, "linprog", zeros)
+    packing, farkas = frac_decomposition(4, combinations(range(4), 2))
+    assert farkas is None and set(packing.edge_loads().values()) == {1}
+    assert len(exact_calls) == 2
     # the optimum itself is accepted as it stands
-    optimal = rationalize([0.5] * len(tris), [1 / 3] * len(edges), tris, edges, g, RED)
-    assert optimal.packing.value() == optimal.cover.value() == 2
-    assert optimal.packing.weights == {t: F(1, 2) for t in tris}
+    x, y, value = rationalize([0.5] * len(tris), [1 / 3] * len(edges), *lp_args)
+    assert value == 2
+    assert x == {t: F(1, 2) for t in tris}
+    assert y == {e: F(1, 3) for e in edges}
 
 
 def test_float_path_checks_cover_against_the_solved_triangles(monkeypatch):
     g = ColoredGraph.monochromatic(4)
-    tris = g.monochromatic_triangles(RED)
-    edges = sorted({e for t in tris for e in triangle_edges(t)})
+    lp_args = packing_lp(g, RED)
+    tris, edges = lp_args[:2]
     # packing 1/2 on 012 and 013 and cover 1 on 01 both total 1, but the
     # cover leaves 023 and 123 uncovered
     xs = [0.5 if t in ((0, 1, 2), (0, 1, 3)) else 0.0 for t in tris]
     duals = [1.0 if e == (0, 1) else 0.0 for e in edges]
-    assert rationalize(xs, duals, tris, edges, g, RED) is None
+    assert rationalize(xs, duals, *lp_args) is None
     with pytest.raises(ValueError, match="not covered"):
-        lp.FractionalCover(RED, {(0, 1): F(1)}).check_covers(tris)
+        lp.FractionalCover(RED, {(0, 1): F(1)}).check_feasible(g)
     # the float path enumerates g's triangles once per solve
     calls = []
     real_triangles = ColoredGraph.monochromatic_triangles
@@ -155,8 +174,24 @@ def table1_graph(sizes, flipped):
     return flipped_blowup(spec) if flipped else pentagon_blowup(spec)[0]
 
 
+def assert_linprog_matches_scipy(tris, edges, rhs, c):
+    """`lp.linprog` returns the very floats scipy's public `linprog` does."""
+    a = np.zeros((len(edges), len(tris)))
+    rows, cols = lp.incidence(tris, edges)
+    a[rows, cols] = 1.0
+    res = linprog(
+        c=-np.array(c, dtype=float), A_ub=a, b_ub=np.array(rhs, dtype=float),
+        bounds=(0, None), method="highs",
+    )
+    assert res.success
+    xs, duals = lp.linprog(c=c, rows=rows, cols=cols, rhs=rhs)
+    assert np.array_equal(xs, res.x), (tris, rhs)
+    assert np.array_equal(duals, -res.ineqlin.marginals), (tris, rhs)
+
+
 def test_float_solve_matches_scipy_linprog():
-    """The direct HiGHS call returns the very floats scipy's `linprog` does."""
+    """The direct HiGHS call returns the very floats scipy's `linprog` does,
+    on packing LPs and on demand/capacity LPs."""
     rng = random.Random(43)
     graphs = [random_graph(rng, n) for n in range(4, 17) for _ in range(3)]
     partial = random_graph(rng, 12)
@@ -168,40 +203,60 @@ def test_float_solve_matches_scipy_linprog():
     solved = 0
     for g in graphs:
         for color in (RED, BLUE):
-            tris = g.monochromatic_triangles(color)
-            if not tris:
-                continue
-            edges = sorted({e for t in tris for e in triangle_edges(t)})
-            a = np.zeros((len(edges), len(tris)))
-            a[lp.incidence(tris, edges)] = 1.0
-            res = linprog(
-                c=-np.ones(len(tris)), A_ub=a, b_ub=np.ones(len(edges)),
-                bounds=(0, None), method="highs",
-            )
-            assert res.success
-            xs, duals = lp._float_solve(tris, edges)
-            assert np.array_equal(xs, res.x), g
-            assert np.array_equal(duals, -res.ineqlin.marginals), g
-            solved += 1
+            if g.monochromatic_triangles(color):
+                assert_linprog_matches_scipy(*packing_lp(g, color))
+                solved += 1
     assert solved > len(graphs)
+    # rhs in {1/4, 1/2, 1} and c = each triangle's number of demand edges;
+    # an edge in neither dict leaves its triangles fewer than three rows
+    short = 0
+    for _ in range(30):
+        n = rng.randint(4, 7)
+        tris = list(combinations(range(n), 3))
+        demand, capacity = {}, {}
+        for e in combinations(range(n), 2):
+            r = rng.random()
+            if r < 0.85:
+                (demand if r < 0.5 else capacity)[e] = rng.choice((F(1, 4), F(1, 2), F(1)))
+        loads = {**demand, **capacity}
+        edges = sorted(loads)
+        c = [sum(e in demand for e in triangle_edges(t)) for t in tris]
+        short += sum(not all(e in loads for e in triangle_edges(t)) for t in tris)
+        assert_linprog_matches_scipy(tris, edges, [loads[e] for e in edges], c)
+    assert short
 
 
 def test_float_path_accepts_the_mid_size_lps(monkeypatch):
     """Every LP here is accepted from HiGHS: falling back to the dense exact
-    simplex on LPs of this size costs seconds to minutes each."""
+    simplex on LPs of this size costs seconds to minutes each.  It covers
+    both LP kinds: packings (`nu_star`) and prescribed loads (`solve_loads`,
+    under `frac_decomposition` and `ab_packing` case c)."""
     rng = random.Random(47)
     graphs = [table1_graph(sizes, flipped) for sizes, flipped, _ in TABLE1]
     graphs.append(bipartite_minus_matching(16, 8))
     graphs.extend(random_graph(rng, 18) for _ in range(10))
 
-    def exact_solve(triangles, edges, color):
-        raise AssertionError(f"exact fallback on {len(triangles)} {color} triangles")
+    def exact(a_rows, b, c):
+        raise AssertionError(f"exact fallback on {len(c)} triangles and {len(b)} edges")
 
-    monkeypatch.setattr(lp, "_exact_solve", exact_solve)
+    monkeypatch.setattr(lp, "simplex_max_leq", exact)
     for g in graphs:
         for color in (RED, BLUE):
             res = nu_star(g, color)
             assert res.lo == res.hi
+    for g in graphs[:len(TABLE1)]:
+        for color in (RED, BLUE):
+            frac_decomposition(g.n, g.edges_of_color(color))
+    for n_a in range(3, 6):
+        for n_b in (n_a, n_a + 1):
+            for y, z in combinations(range(n_a, n_a + n_b), 2):
+                ab_packing("c", n_a, n_b, [(0, y), (0, z)])
+    # criterion 3's (n-3)-non-edge construction, which does not decompose
+    for n in (8, 9, 10):
+        missing = {(x, n - 1) for x in range(3, n - 1)} | {(0, 1)}
+        edges = [e for e in combinations(range(n), 2) if e not in missing]
+        packing, farkas = frac_decomposition(n, edges)
+        assert packing is None and farkas is not None
 
 
 def test_missing_highs_binding_fails_at_import():
@@ -332,13 +387,15 @@ def test_solve_loads_with_capacities():
     packing, farkas = solve_loads(triangles, demand, capacity)
     assert farkas is None
     assert packing.weights == {(0, 1, 2): F(1, 2), (0, 1, 3): F(1, 2)}
+    # an edge with both a demand and a capacity has no one row
+    with pytest.raises(ValueError, match=r"edges \[\(0, 1\)\] have both"):
+        solve_loads(triangles, demand, {**capacity, (0, 1): F(1)})
 
 
-def test_random_loads_certified():
-    """Random demands and capacities on K_n: either a packing that meets
-    every demand exactly within the capacities, or a Farkas vector."""
+def random_loads():
+    """Forty (triangles, demand, capacity) programs on K_n, n = 4..6, with
+    loads in {0, 1/4, ..., 1}."""
     rng = random.Random(9)
-    feasible = infeasible = 0
     for _ in range(40):
         n = rng.randint(4, 6)
         triangles = list(combinations(range(n), 3))
@@ -346,6 +403,14 @@ def test_random_loads_certified():
         for e in combinations(range(n), 2):
             rows = demand if rng.random() < 0.6 else capacity
             rows[e] = F(rng.randint(0, 4), 4)
+        yield triangles, demand, capacity
+
+
+def test_random_loads_certified():
+    """Random demands and capacities on K_n: either a packing that meets
+    every demand exactly within the capacities, or a Farkas vector."""
+    feasible = infeasible = 0
+    for triangles, demand, capacity in random_loads():
         packing, farkas = solve_loads(triangles, demand, capacity)
         if packing is not None:
             feasible += 1
@@ -360,6 +425,21 @@ def test_random_loads_certified():
             infeasible += 1
             assert_farkas(farkas, triangles, demand, capacity)
     assert feasible and infeasible
+
+
+def test_random_loads_match_the_exact_simplex():
+    """On the same programs, the float path's optimum and `solve_loads`'
+    verdict are the exact simplex's."""
+    for triangles, demand, capacity in random_loads():
+        loads = {**demand, **capacity}
+        edges = sorted(loads)
+        rhs = [loads[e] for e in edges]
+        c = [sum(e in demand for e in triangle_edges(t)) for t in triangles]
+        _, _, value = lp._optimum(triangles, edges, rhs, c)
+        _, _, exact = lp._exact_solve(triangles, edges, rhs, c)
+        assert value == exact
+        packing, _ = solve_loads(triangles, demand, capacity)
+        assert (packing is not None) == (exact == sum(demand.values()))
 
 
 def test_integer_nu_oracle_values():

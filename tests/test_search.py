@@ -469,6 +469,8 @@ def test_resume_rejects_corrupt_and_mismatched(tmp_path):
         lambda p: p["report"].update({"\u0663": {}}),
         lambda p: p["report"].update({" 3": {}}),
         lambda p: p["report"].update({"04": p["report"]["4"]}),
+        # a level the checkpoint has not reached
+        lambda p: p["report"].update({"5": {}}),
         lambda p: p.update(level="x"),
         # a frontier graph of the wrong size, or one with unassigned edges
         lambda p: p["frontier"].append(item(ColoredGraph(3, "RRB"))),
