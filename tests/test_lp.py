@@ -77,6 +77,14 @@ def packing_lp(g, color):
     return tris, edges, [1] * len(edges), [1] * len(tris)
 
 
+def loads_lp(triangles, demand, capacity):
+    """The triangles, edges, rhs and objective of `solve_loads`' LP."""
+    loads = {**demand, **capacity}
+    edges = sorted(loads)
+    c = [sum(e in demand for e in triangle_edges(t)) for t in triangles]
+    return triangles, edges, [loads[e] for e in edges], c
+
+
 def test_exact_and_float_paths_agree():
     rng = random.Random(5)
     for _ in range(25):
@@ -218,11 +226,9 @@ def test_float_solve_matches_scipy_linprog():
             r = rng.random()
             if r < 0.85:
                 (demand if r < 0.5 else capacity)[e] = rng.choice((F(1, 4), F(1, 2), F(1)))
-        loads = {**demand, **capacity}
-        edges = sorted(loads)
-        c = [sum(e in demand for e in triangle_edges(t)) for t in tris]
-        short += sum(not all(e in loads for e in triangle_edges(t)) for t in tris)
-        assert_linprog_matches_scipy(tris, edges, [loads[e] for e in edges], c)
+        short += sum(not all(e in demand or e in capacity for e in triangle_edges(t))
+                     for t in tris)
+        assert_linprog_matches_scipy(*loads_lp(tris, demand, capacity))
     assert short
 
 
@@ -431,12 +437,9 @@ def test_random_loads_match_the_exact_simplex():
     """On the same programs, the float path's optimum and `solve_loads`'
     verdict are the exact simplex's."""
     for triangles, demand, capacity in random_loads():
-        loads = {**demand, **capacity}
-        edges = sorted(loads)
-        rhs = [loads[e] for e in edges]
-        c = [sum(e in demand for e in triangle_edges(t)) for t in triangles]
-        _, _, value = lp._optimum(triangles, edges, rhs, c)
-        _, _, exact = lp._exact_solve(triangles, edges, rhs, c)
+        lp_args = loads_lp(triangles, demand, capacity)
+        _, _, value = lp._optimum(*lp_args)
+        _, _, exact = lp._exact_solve(*lp_args)
         assert value == exact
         packing, _ = solve_loads(triangles, demand, capacity)
         assert (packing is not None) == (exact == sum(demand.values()))
