@@ -237,7 +237,7 @@ def parse(text: str) -> ColoredGraph:
         n = parse_integer(count)
     except ValueError:
         raise GraphFormatError(f"bad vertex count {count!r}", 2) from None
-    if n < 0:
+    if count.startswith("-"):  # "-0" too, which parse_integer reads as 0
         raise GraphFormatError("vertex count must be non-negative", 2)
     m = n * (n - 1) // 2
     body = lines[1] if len(lines) > 1 else ""

@@ -2,11 +2,11 @@
 
 All results are exact rationals.  Every LP here is max c.x over A x <= rhs,
 x >= 0, with A the edge x triangle incidence, and `_optimum` is its one
-solver.  It makes one direct call into the HiGHS solver that scipy ships
-and snaps the primal and dual solutions to nearby fractions.  It accepts
-them only if they pass the LP duality certificate, A x <= rhs, A^T y >= c
-and c.x == rhs.y, checked exactly in integers over common denominators;
-otherwise it falls back to the exact rational simplex.
+solver.  It builds A once, column-wise (`incidence`), and passes it to the
+HiGHS solver that scipy ships.  It snaps the primal and dual solutions to
+nearby fractions and accepts them only if they pass the LP duality
+certificate, A x <= rhs, A^T y >= c and c.x == rhs.y, checked exactly in
+integers on that same A; otherwise the exact rational simplex solves it.
 
 `nu_star` is the case rhs = c = 1: its `Bounds` carries a packing and a
 cover of one value, lo == hi.  `solve_loads`, with the prescribed edge loads
@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 try:
     from scipy.optimize._highspy import _core as highs
@@ -47,21 +45,22 @@ def triangle_edges(t: Triangle) -> tuple[Edge, Edge, Edge]:
 
 
 def incidence(triangles: list[Triangle], edges: list[Edge]) -> tuple[list[int], list[int]]:
-    """Nonzeros of the edge x triangle incidence matrix as (rows, cols).
+    """The edge x triangle incidence matrix A column-wise, as HiGHS takes it.
 
-    Row r is edges[r] and column c is triangles[c] (a sorted vertex triple);
-    a triangle edge that is not in `edges` has no row and is skipped.
+    Row r is edges[r]; column c is triangles[c] (a sorted vertex triple) and
+    holds the rows index[start[c]:start[c + 1]], ascending if `edges` is
+    sorted.  A triangle edge that is not in `edges` has no row.
     """
     row_of = {e: r for r, e in enumerate(edges)}
-    rows: list[int] = []
-    cols: list[int] = []
-    for col, t in enumerate(triangles):
+    index: list[int] = []
+    start = [0]
+    for t in triangles:
         for e in triangle_edges(t):
             r = row_of.get(e)
             if r is not None:
-                rows.append(r)
-                cols.append(col)
-    return rows, cols
+                index.append(r)
+        start.append(len(index))
+    return index, start
 
 
 def _over_one_denominator(weights) -> tuple[int, list[int]]:
@@ -164,53 +163,52 @@ class PackValue:
     blue: Bounds
 
 
-def _snap(keys: list, values) -> dict:
-    """The positive fractions nearest `values`, keyed by `keys`."""
+def _snap(values) -> dict[int, Fraction]:
+    """The positive fractions nearest `values`, keyed by position."""
     snapped = {}
-    for key, v in zip(keys, values):
+    for i, v in enumerate(values):
         if v > 0:  # most LP weights are exactly 0; skip snapping them
-            q = Fraction(float(v)).limit_denominator(MAX_DENOMINATOR)
+            q = Fraction(v).limit_denominator(MAX_DENOMINATOR)
             if q:
-                snapped[key] = q
+                snapped[i] = q
     return snapped
 
 
-def rationalize(xs, ys, triangles: list[Triangle], edges: list[Edge], rhs, c):
-    """(x, y, value): the float solution `xs` on `triangles` and `ys` on
-    `edges`, snapped to positive fractions, if it passes the LP duality
-    certificate A x <= rhs, A^T y >= c and c.x == rhs.y; else None.
+def rationalize(xs, ys, index: list[int], start: list[int], rhs, c):
+    """(x, y, value): the float solution `xs` on the columns of A = (index,
+    start) and `ys` on its rows, snapped to positive fractions keyed by
+    position, if it passes the LP duality certificate A x <= rhs, A^T y >= c
+    and c.x == rhs.y; else None.
 
     Each check runs exactly, with x and y in integers over their common
     denominators.  A pair that passes is optimal for max c.x over A x <= rhs,
     x >= 0 and for its dual, and value is both objectives.
     """
-    x = _snap(range(len(triangles)), xs)
-    y = _snap(range(len(edges)), ys)
+    x = _snap(xs)
+    y = _snap(ys)
     dx, x_int = _over_one_denominator(x.values())
     dy, y_int = _over_one_denominator(y.values())
-    loads = dict.fromkeys(edges, 0)  # A x <= rhs, with x over dx
-    for i, w in zip(x, x_int):
-        for e in triangle_edges(triangles[i]):
-            if e in loads:
-                loads[e] += w
-    for load, r in zip(loads.values(), rhs):
-        if load > r * dx:
-            return None
-    get = {edges[j]: w for j, w in zip(y, y_int)}.get  # A^T y >= c, with y over dy
-    for (i, j, k), ct in zip(triangles, c):
-        if get((i, j), 0) + get((i, k), 0) + get((j, k), 0) < ct * dy:
+    loads = [0] * len(rhs)  # A x <= rhs, with x over dx
+    for col, w in zip(x, x_int):
+        for r in index[start[col]:start[col + 1]]:
+            loads[r] += w
+    if any(load > r * dx for load, r in zip(loads, rhs)):
+        return None
+    y_of = dict(zip(y, y_int)).get  # A^T y >= c, with y over dy
+    y_at = [y_of(r, 0) for r in index]  # y at each nonzero of A
+    for ct, lo, hi in zip(c, start, start[1:]):
+        if sum(y_at[lo:hi]) < ct * dy:
             return None
     cx = sum(c[i] * w for i, w in zip(x, x_int))  # c.x == rhs.y
     if cx * dy != sum(rhs[j] * w for j, w in zip(y, y_int)) * dx:
         return None
-    x = {triangles[i]: w for i, w in x.items()}
-    return x, {edges[j]: w for j, w in y.items()}, Fraction(cx, dx)
+    return x, y, Fraction(cx, dx)
 
 
-def linprog(c, rows, cols, rhs):
+def linprog(c, index: list[int], start: list[int], rhs):
     """Maximise c.x subject to A x <= rhs and x >= 0 with a fresh HiGHS
-    instance; the 0/1 matrix A has its ones at (rows[k], cols[k]), column
-    by column, as `incidence` lists them.
+    instance; A is the 0/1 matrix `incidence` lists column-wise as
+    (index, start), which is the form HiGHS takes.
 
     Returns (x, y) if HiGHS reports the model optimal, else None; y, the
     negated row duals, is >= 0 and optimal for min rhs.y over A^T y >= c.
@@ -219,18 +217,16 @@ def linprog(c, rows, cols, rhs):
     lp = highs.HighsLp()
     lp.num_col_ = num_col
     lp.num_row_ = num_row
-    lp.col_cost_ = -np.array(c, dtype=float)  # HiGHS minimises
-    lp.col_lower_ = np.zeros(num_col)
-    lp.col_upper_ = np.full(num_col, highs.kHighsInf)
-    lp.row_lower_ = np.full(num_row, -highs.kHighsInf)
-    lp.row_upper_ = np.array(rhs, dtype=float)
-    a = lp.a_matrix_
+    lp.col_cost_ = [-float(ct) for ct in c]  # HiGHS minimises
+    lp.col_lower_ = [0.0] * num_col
+    lp.col_upper_ = [highs.kHighsInf] * num_col
+    lp.row_lower_ = [-highs.kHighsInf] * num_row
+    lp.row_upper_ = [float(r) for r in rhs]
+    a = lp.a_matrix_  # passModel gives it the LP's dimensions
     a.format_ = highs.MatrixFormat.kColwise
-    a.num_col_ = num_col
-    a.num_row_ = num_row
-    a.start_ = np.searchsorted(cols, np.arange(num_col + 1))
-    a.index_ = rows
-    a.value_ = np.ones(len(rows))
+    a.start_ = start
+    a.index_ = index
+    a.value_ = [1.0] * len(index)
     solver = highs._Highs()
     solver.setOptionValue("output_flag", False)
     solver.passModel(lp)
@@ -238,32 +234,32 @@ def linprog(c, rows, cols, rhs):
     if solver.getModelStatus() != highs.HighsModelStatus.kOptimal:
         return None
     solution = solver.getSolution()
-    return np.array(solution.col_value), -np.array(solution.row_dual)
+    return solution.col_value, [-d for d in solution.row_dual]
 
 
-def _exact_solve(triangles: list[Triangle], edges: list[Edge], rhs, c):
-    """`_optimum` by the exact rational simplex on the dense incidence."""
-    a_rows = [[ZERO] * len(triangles) for _ in edges]
-    for r, col in zip(*incidence(triangles, edges)):
-        a_rows[r][col] = ONE
+def _exact_solve(index: list[int], start: list[int], rhs, c):
+    """`_optimum` by the exact rational simplex on the dense A, keyed by position."""
+    a_rows = [[ZERO] * len(c) for _ in rhs]
+    for col, (lo, hi) in enumerate(zip(start, start[1:])):
+        for r in index[lo:hi]:
+            a_rows[r][col] = ONE
     x, y, value = simplex_max_leq(a_rows, rhs, c)
-    x = {t: w for t, w in zip(triangles, x) if w > 0}
-    return x, {e: w for e, w in zip(edges, y) if w > 0}, value
+    x = {i: w for i, w in enumerate(x) if w > 0}
+    return x, {j: w for j, w in enumerate(y) if w > 0}, value
 
 
 def _optimum(triangles: list[Triangle], edges: list[Edge], rhs, c):
     """(x, y, value): positive weights x on `triangles` and y on `edges`,
     optimal for max c.x over A x <= rhs, x >= 0 (rhs >= 0) and for its
     dual, and their common value.  HiGHS's solution if `rationalize`
-    certifies it, else the exact simplex's.
+    certifies it, else the exact simplex's; both read the one A that
+    `incidence` builds.
     """
-    rows, cols = incidence(triangles, edges)
-    sol = linprog(c=c, rows=rows, cols=cols, rhs=rhs)
-    if sol is not None:
-        opt = rationalize(*sol, triangles, edges, rhs, c)
-        if opt is not None:
-            return opt
-    return _exact_solve(triangles, edges, rhs, c)
+    index, start = incidence(triangles, edges)
+    sol = linprog(c=c, index=index, start=start, rhs=rhs)
+    opt = None if sol is None else rationalize(*sol, index, start, rhs, c)
+    x, y, value = opt or _exact_solve(index, start, rhs, c)
+    return {triangles[i]: w for i, w in x.items()}, {edges[j]: w for j, w in y.items()}, value
 
 
 def nu_star(g: ColoredGraph, color: str) -> Bounds:
@@ -293,9 +289,11 @@ def certified_exceeds(
     """Sound pruning test: the total 3 * (nu(red) + nu(blue)) of the packings
     `red` and `blue` of g's assigned part if it strictly exceeds `threshold`,
     else None.  Both packings are checked and the total is the value those
-    checks return, so it is never a false positive; an infeasible packing
-    raises ValueError.
+    checks return, so it is never a false positive; an infeasible packing,
+    or a pair that is not red then blue, raises ValueError.
     """
+    if (red.color, blue.color) != (RED, BLUE):
+        raise ValueError(f"packings must be red then blue, got {red.color} and {blue.color}")
     total = 3 * (red.check_feasible(g) + blue.check_feasible(g))
     return total if total > Fraction(threshold) else None
 

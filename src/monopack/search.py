@@ -382,7 +382,7 @@ def resume(path: str) -> SearchState:
         raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
     level, items = payload.get("level"), payload.get("frontier")
     reports = payload.get("report")
-    if (type(level), type(items), type(reports)) != (int, list, dict):
+    if (type(level), type(items), type(reports)) != (int, list, dict) or level < 0:
         raise ValueError("checkpoint has a malformed level, frontier or report")
     # a frontier kept under another symmetry would mix its counts into ours
     if payload.get("admit_swap") is not True:

@@ -190,13 +190,15 @@ def test_integer_fields_are_ascii_digits():
 
 
 def test_negative_vertex_count_rejected():
-    # n = -2 gives n(n-1)/2 = 3, the length of the colour string
-    ok, msg = verify_packcert("PACKCERT v1\ngraph: n=-2 RRR\nclaim: pack >= 0\n")
-    assert not ok and "non-negative" in msg
-    ok, msg = verify_covercert(
-        "COVERCERT v1\ngraph: n=-2 RRR\ncolor: R\nclaim: nustar <= 0\n"
-    )
-    assert not ok and "non-negative" in msg
+    # n = -2 gives n(n-1)/2 = 3, the length of the colour string; n = -0
+    # reads as 0, with an empty one
+    for graph in ("n=-2 RRR", "n=-0 "):
+        ok, msg = verify_packcert(f"PACKCERT v1\ngraph: {graph}\nclaim: pack >= 0\n")
+        assert not ok and "non-negative" in msg, graph
+        ok, msg = verify_covercert(
+            f"COVERCERT v1\ngraph: {graph}\ncolor: R\nclaim: nustar <= 0\n"
+        )
+        assert not ok and "non-negative" in msg, graph
 
 
 def test_negative_cover_weight_rejected():

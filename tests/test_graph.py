@@ -141,8 +141,9 @@ def test_parse_errors_carry_positions():
     for count in ("+3", "\u0663", " 3", "3 ", "0x3", "3_0", ""):
         with pytest.raises(GraphFormatError, match="bad vertex count"):
             parse(f"n={count}\nRRR")
-    with pytest.raises(GraphFormatError, match="non-negative"):
-        parse("n=-2\nRRR")
+    for text in ("n=-2\nRRR", "n=-0\n\n"):
+        with pytest.raises(GraphFormatError, match="non-negative"):
+            parse(text)
 
 
 def test_neighbor_masks():

@@ -85,6 +85,20 @@ def loads_lp(triangles, demand, capacity):
     return triangles, edges, [loads[e] for e in edges], c
 
 
+def test_incidence_is_column_wise():
+    # a loads LP whose triangles have 0, 1, 2 and 3 edges among the rows
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
+    tris = [(2, 3, 4), (0, 3, 4), (1, 2, 3), (0, 1, 3), (0, 1, 2)]
+    index, start = lp.incidence(tris, edges)
+    assert len(start) == len(tris) + 1 and start[0] == 0
+    for col, t in enumerate(tris):
+        rows = [edges.index(e) for e in triangle_edges(t) if e in edges]
+        assert index[start[col]:start[col + 1]] == sorted(rows) == rows, t
+    # (2, 3, 4) has no row, and so an empty column
+    assert [start[c + 1] - start[c] for c in range(len(tris))] == [0, 1, 2, 3, 3]
+    assert start[-1] == len(index)
+
+
 def test_exact_and_float_paths_agree():
     rng = random.Random(5)
     for _ in range(25):
@@ -93,7 +107,7 @@ def test_exact_and_float_paths_agree():
             fast = nu_star(g, c)
             tris, edges, rhs, ones = packing_lp(g, c)
             if tris:
-                assert fast.lo == lp._exact_solve(tris, edges, rhs, ones)[2]
+                assert fast.lo == lp._exact_solve(*lp.incidence(tris, edges), rhs, ones)[2]
             assert fast.packing.value() == fast.cover.value()
             fast.packing.check_feasible(g)
             fast.cover.check_feasible(g)
@@ -110,8 +124,8 @@ def test_partial_colouring_uses_assigned_part_only():
 
 def test_float_solution_failing_checks_falls_back_to_exact(monkeypatch):
     g = ColoredGraph.monochromatic(4)
-    lp_args = packing_lp(g, RED)
-    tris, edges = lp_args[:2]
+    tris, edges, rhs, c = packing_lp(g, RED)
+    lp_args = (*lp.incidence(tris, edges), rhs, c)
     # primal and dual both total 51/25, but every edge is loaded to 51/50
     overloaded = ([0.51] * len(tris), [0.34] * len(edges))
     assert rationalize(*overloaded, *lp_args) is None
@@ -131,7 +145,7 @@ def test_float_solution_failing_checks_falls_back_to_exact(monkeypatch):
     res.cover.check_feasible(g)
     # so does a loads LP: x = y = 0 fails A^T y >= c, though read as an
     # optimum it would make K_4, which decomposes, look infeasible
-    def zeros(c, rows, cols, rhs):
+    def zeros(c, index, start, rhs):
         return np.zeros(len(c)), np.zeros(len(rhs))
 
     monkeypatch.setattr(lp, "linprog", zeros)
@@ -141,14 +155,14 @@ def test_float_solution_failing_checks_falls_back_to_exact(monkeypatch):
     # the optimum itself is accepted as it stands
     x, y, value = rationalize([0.5] * len(tris), [1 / 3] * len(edges), *lp_args)
     assert value == 2
-    assert x == {t: F(1, 2) for t in tris}
-    assert y == {e: F(1, 3) for e in edges}
+    assert x == {i: F(1, 2) for i in range(len(tris))}
+    assert y == {j: F(1, 3) for j in range(len(edges))}
 
 
 def test_float_path_checks_cover_against_the_solved_triangles(monkeypatch):
     g = ColoredGraph.monochromatic(4)
-    lp_args = packing_lp(g, RED)
-    tris, edges = lp_args[:2]
+    tris, edges, rhs, c = packing_lp(g, RED)
+    lp_args = (*lp.incidence(tris, edges), rhs, c)
     # packing 1/2 on 012 and 013 and cover 1 on 01 both total 1, but the
     # cover leaves 023 and 123 uncovered
     xs = [0.5 if t in ((0, 1, 2), (0, 1, 3)) else 0.0 for t in tris]
@@ -185,14 +199,15 @@ def table1_graph(sizes, flipped):
 def assert_linprog_matches_scipy(tris, edges, rhs, c):
     """`lp.linprog` returns the very floats scipy's public `linprog` does."""
     a = np.zeros((len(edges), len(tris)))
-    rows, cols = lp.incidence(tris, edges)
-    a[rows, cols] = 1.0
+    index, start = lp.incidence(tris, edges)
+    for col in range(len(tris)):
+        a[index[start[col]:start[col + 1]], col] = 1.0
     res = linprog(
         c=-np.array(c, dtype=float), A_ub=a, b_ub=np.array(rhs, dtype=float),
         bounds=(0, None), method="highs",
     )
     assert res.success
-    xs, duals = lp.linprog(c=c, rows=rows, cols=cols, rhs=rhs)
+    xs, duals = lp.linprog(c=c, index=index, start=start, rhs=rhs)
     assert np.array_equal(xs, res.x), (tris, rhs)
     assert np.array_equal(duals, -res.ineqlin.marginals), (tris, rhs)
 
@@ -320,6 +335,11 @@ def test_certified_exceeds_is_strict_and_sound():
     k4 = ColoredGraph.monochromatic(4)
     q = pack(k4)
     assert certified_exceeds(k4, F(100), q.red.packing, q.blue.packing) is None
+    # the labels are checked: red K_4 passed as both colours would total 12
+    with pytest.raises(ValueError, match="red then blue"):
+        certified_exceeds(k4, F(6), q.red.packing, q.red.packing)
+    with pytest.raises(ValueError, match="red then blue"):
+        certified_exceeds(k4, F(0), q.blue.packing, q.red.packing)
 
 
 def test_frac_decomposition_k7():
@@ -439,7 +459,7 @@ def test_random_loads_match_the_exact_simplex():
     for triangles, demand, capacity in random_loads():
         lp_args = loads_lp(triangles, demand, capacity)
         _, _, value = lp._optimum(*lp_args)
-        _, _, exact = lp._exact_solve(*lp_args)
+        _, _, exact = lp._exact_solve(*lp.incidence(*lp_args[:2]), *lp_args[2:])
         assert value == exact
         packing, _ = solve_loads(triangles, demand, capacity)
         assert (packing is not None) == (exact == sum(demand.values()))

@@ -472,6 +472,8 @@ def test_resume_rejects_corrupt_and_mismatched(tmp_path):
         # a level the checkpoint has not reached
         lambda p: p["report"].update({"5": {}}),
         lambda p: p.update(level="x"),
+        # a negative level, which would otherwise search from level -2 up
+        lambda p: p.update(level=-3, frontier=[], report={}),
         # a frontier graph of the wrong size, or one with unassigned edges
         lambda p: p["frontier"].append(item(ColoredGraph(3, "RRB"))),
         lambda p: p["frontier"].append(item(ColoredGraph(4, "RRBRB."))),
