@@ -7,6 +7,12 @@ monochromatic packing weight already exceeds n(n+1)/4.  Survivors at each
 level are deduplicated by canonical form (vertex relabelling plus colour
 swap).  A pentagon filter at the final level shows how structured survivors
 are recognised and removed.
+
+Permuting twins of a parent (vertices with the same colour to every other
+vertex) is an automorphism, so the search colours the new vertex's edges to
+each twin class blue before red only; `sym_cuts` counts the children it drops
+that way.  Each kept completion counts for its whole orbit, so `completed`
+and `duplicates` are the labelled counts of a search without that cut.
 """
 
 from monopack import ColoredGraph, PentagonFilter, SearchConfig, run_search
@@ -21,8 +27,12 @@ def main() -> None:
         s = report.levels[n]
         print(
             f"  n={n}: completed={s.completed} pruned={s.pruned} "
-            f"duplicates={s.duplicates} survivors={s.survivors}"
+            f"sym_cuts={s.sym_cuts} duplicates={s.duplicates} survivors={s.survivors}"
         )
+    print(
+        "(pruned: branches cut by the threshold; sym_cuts: children dropped as "
+        "twin permutations of a kept one, whose completions count in completed)"
+    )
     print(f"\nthreshold while extending n=5: {default_threshold(5)}")
     print(f"survivors at n=6: {len(levels[6])}")
     for g in levels[6][:5]:

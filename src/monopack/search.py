@@ -16,6 +16,20 @@ within the threshold is ever lost.  Completed colourings are deduplicated
 by canonical form and optionally removed by structural filters (pentagon
 blow-up distance or closeness of a colour class to bipartite).
 
+Twins of a parent (vertices with the same colour to every other vertex,
+`canonical.twin_classes`) can be permuted by an automorphism, so colourings
+of the new vertex's edges that differ by such a permutation give isomorphic
+children.  Within each twin class, in index order, the search keeps only the
+colourings with every blue edge before every red one: the lex-leader of each
+orbit of the product of symmetric groups (Crawford, Ginsberg, Luks & Roy, KR
+1996), and the first one of its orbit that the blue-first depth-first search
+reaches, so the survivors are the same labelled graphs as without the cut.
+A child that breaks the order is dropped unsettled as a symmetry cut.  Pack
+values, filter verdicts and canonical keys are isomorphism invariants, so a
+kept completion counts for its whole orbit, of size prod C(|class|, reds):
+`completed`, `filtered` and `duplicates` count labelled colourings, as the
+search without the cut would.
+
 Colourings are identified up to isomorphism and colour swap, and nothing is
 lost by it: swapping the colours keeps every monochromatic triangle packing,
 and both filters give a colouring and its swap the same verdict (C_5 is
@@ -26,12 +40,14 @@ without swap would find exactly these survivors and their swaps.
 from __future__ import annotations
 
 import json
+import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import certs
-from .canonical import canonical_key
+from .canonical import canonical_key, twin_classes
 from .graph import BLUE, RED, UNASSIGNED, ColoredGraph, GraphFormatError, parse_decimal
 from .graph import parse as parse_graph
 from .lp import (
@@ -144,12 +160,18 @@ class SearchNode:
 
 @dataclass
 class LevelStats:
-    survivors: int = 0
-    pruned: int = 0
-    filtered: int = 0
-    completed: int = 0
-    duplicates: int = 0
+    """One level's counts.  `completed`, `filtered` and `duplicates` count
+    labelled completions, each kept one weighted by its twin-orbit size, so
+    they are the counts of the search without symmetry cuts; `pruned`,
+    `lp_solves` and `sym_cuts` count the work of the nodes visited."""
+
+    survivors: int = 0  # completions kept, one per isomorphism class
+    pruned: int = 0  # threshold cuts: nodes whose certified pack exceeds it
+    filtered: int = 0  # filter rejects among the completions
+    completed: int = 0  # complete colourings within the threshold
+    duplicates: int = 0  # unfiltered completions isomorphic to a kept one
     lp_solves: int = 0  # nu_star solves by settle: every LP the search solves
+    sym_cuts: int = 0  # symmetry cuts: children that colour a twin red before blue
 
 
 @dataclass
@@ -241,6 +263,26 @@ def classify_complete(g: ColoredGraph, level_filter):
     raise ValueError(f"unknown filter {level_filter!r}")
 
 
+def out_of_order(twin: list[int], g: ColoredGraph, v: int) -> bool:
+    """Whether the edge (v, newest) just coloured puts a red before a blue
+    among v's twins, taken in index order; twin[a] names a's class."""
+    u = g.n - 1
+    if g.color_of(v, u) == BLUE:
+        rivals, color = range(v), RED
+    else:
+        rivals, color = range(v + 1, u), BLUE
+    return any(twin[a] == twin[v] and g.color_of(a, u) == color for a in rivals)
+
+
+def orbit_size(twin: list[int], g: ColoredGraph) -> int:
+    """How many colourings of the newest vertex's edges permuting the twins
+    reaches from g's: the product over classes of C(size, reds)."""
+    u = g.n - 1
+    sizes = Counter(twin)
+    reds = Counter(twin[a] for a in range(u) if g.color_of(a, u) == RED)
+    return math.prod(math.comb(size, reds[k]) for k, size in sizes.items())
+
+
 def check_frontier(graphs: list[ColoredGraph], level: int) -> None:
     """ValueError unless the graphs are pairwise non-isomorphic complete K_level colourings."""
     seen = set()
@@ -279,6 +321,8 @@ def run_search(
     filter at a level the search does not reach.
     """
     for n, level_filter in cfg.filters.items():
+        if not isinstance(level_filter, (PentagonFilter, BipartiteFilter)):
+            raise ValueError(f"unknown filter {level_filter!r}")
         if isinstance(level_filter, PentagonFilter) and n < 5:
             raise ValueError(f"pentagon filter at level {n}: blow-ups need at least 5 vertices")
     if state is None:
@@ -307,6 +351,7 @@ def run_search(
         level_filter = cfg.filters.get(level + 1)
         survivors: dict[str, SearchNode] = {}
         for parent in frontier:
+            twin = twin_classes(parent.graph)
             # the new vertex closes no triangle, so the parent's bounds hold
             stack = [replace(parent, graph=parent.graph.add_vertex())]
             while stack:
@@ -315,18 +360,26 @@ def run_search(
                 if prune(node, threshold) is not None:
                     stats.pruned += 1
                 elif not node.graph.is_complete:
-                    stack.extend(expose(node, choose_next_vertex(node)))
+                    v = choose_next_vertex(node)
+                    for child in expose(node, v):
+                        if out_of_order(twin, child.graph, v):
+                            stats.sym_cuts += 1
+                        else:
+                            stack.append(child)
                 else:
-                    stats.completed += 1
+                    # the orbit's other colourings are isomorphic to this
+                    # one, so they share its verdict and its key
+                    weight = orbit_size(twin, node.graph)
+                    stats.completed += weight
                     verdict, _ = classify_complete(node.graph, level_filter)
                     if verdict != KEEP:
-                        stats.filtered += 1
+                        stats.filtered += weight
                         continue
                     key, _ = canonical_key(node.graph)
-                    if key.key in survivors:
-                        stats.duplicates += 1
-                    else:
+                    if key.key not in survivors:
                         survivors[key.key] = node
+                        weight -= 1
+                    stats.duplicates += weight
         frontier = [survivors[k] for k in sorted(survivors)]
         stats.survivors = len(frontier)
         level += 1

@@ -11,6 +11,7 @@ return None exactly when they do not cut or match.  These tests only read
 import importlib.util
 import os
 
+from monopack import search as search_mod
 from monopack.constructions import BlobSpec, flipped_blowup, pentagon_blowup
 from monopack.graph import BLUE, RED, ColoredGraph
 from monopack.lp import pack
@@ -37,20 +38,32 @@ def test_every_traced_binding_exists():
     assert not missing, missing
 
 
-def test_traced_hits_match_the_search_report():
-    # the smoke extension: a 7-vertex blow-up extended to n = 8
-    tracing = load_tracing()
+def traced_smoke_extension(tracing):
+    """Spans and report of the smoke extension: a 7-vertex blow-up extended
+    to n = 8."""
     g, _ = pentagon_blowup(BlobSpec((1, 1, 1, 2, 2)))
     cfg = SearchConfig(n_end=8, filters={8: PentagonFilter(max_flips=1)})
     tracer = tracing.Tracer()
     with tracer.patch():
         _, report = run_search([g], cfg)
     spans, _, _ = tracing.summarize(tracer.spans)
-    levels = report.levels.values()
+    return spans, report.levels.values()
+
+
+def test_traced_hits_match_the_search_report(monkeypatch):
+    tracing = load_tracing()
+    spans, levels = traced_smoke_extension(tracing)
+    assert spans["prune"]["hits"] == sum(s.pruned for s in levels) > 0
+    # every LP the search solves is in the report, the seed's among them
+    assert spans["nu_star"]["calls"] == sum(s.lp_solves for s in levels) > 0
+    # a kept completion stands for its whole twin orbit in the report
+    assert 0 < spans["pentagon"]["calls"] < sum(s.completed for s in levels)
+    # with one-vertex twin classes every completion is visited and weighs 1
+    monkeypatch.setattr(search_mod, "twin_classes", lambda g: list(range(g.n)))
+    spans, levels = traced_smoke_extension(tracing)
     assert spans["prune"]["hits"] == sum(s.pruned for s in levels) > 0
     assert spans["pentagon"]["calls"] == sum(s.completed for s in levels) > 0
     assert spans["pentagon"]["hits"] == sum(s.filtered for s in levels) > 0
-    # every LP the search solves is in the report, the seed's among them
     assert spans["nu_star"]["calls"] == sum(s.lp_solves for s in levels) > 0
 
 

@@ -190,6 +190,12 @@ def test_search_cli(tmp_path, capsys):
     levels = [r for r in records if "level" in r]
     assert [r["level"] for r in levels] == [4, 5]
     assert all(r["lp_solves"] > 0 for r in levels)
+    # each level line is the library's report, symmetry cuts included
+    cfg = search_mod.SearchConfig(n_end=5, filters={5: search_mod.PentagonFilter()})
+    _, report = search_mod.run_search([ColoredGraph(3, "RRB")], cfg)
+    for r in levels:
+        assert r["sym_cuts"] == report.at(r["level"]).sym_cuts
+        assert r["completed"] == report.at(r["level"]).completed > 0
     assert len(os.listdir(certdir)) == len(survivors)
     # resume from the checkpoint and continue one more level
     assert main(["search", "--resume", ckpt, "--n-end", "6"]) == 0

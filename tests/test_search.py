@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -153,15 +154,74 @@ def test_bounds_bracket_the_cold_optimum():
     assert most_solves == 2
 
 
-def test_empty_seed_search_decisions():
+def without_symmetry_cuts(monkeypatch):
+    """Make every twin class a single vertex: the search then cuts nothing by
+    symmetry and weighs every completion 1."""
+    monkeypatch.setattr(search_mod, "twin_classes", lambda g: list(range(g.n)))
+
+
+def test_empty_seed_search_decisions(monkeypatch):
     # the counts of the search that solved an LP for every child: bounds
-    # may save LPs but must not change a single decision
-    _, report = run_search([ColoredGraph.empty()], SearchConfig(n_end=6))
+    # may save LPs but must not change a single decision; symmetry cuts
+    # change the nodes visited, not the weighted counts
     levels = range(1, 7)
-    assert [report.at(n).pruned for n in levels] == [0, 0, 1, 0, 23, 40]
-    assert [report.at(n).completed for n in levels] == [1, 2, 3, 8, 42, 142]
-    assert [report.at(n).duplicates for n in levels] == [0, 1, 2, 3, 36, 112]
-    assert [report.at(n).survivors for n in levels] == [1, 1, 1, 5, 6, 30]
+    for cut in (True, False):
+        if not cut:
+            without_symmetry_cuts(monkeypatch)
+        _, report = run_search([ColoredGraph.empty()], SearchConfig(n_end=6))
+        assert [report.at(n).completed for n in levels] == [1, 2, 3, 8, 42, 142]
+        assert [report.at(n).duplicates for n in levels] == [0, 1, 2, 3, 36, 112]
+        assert [report.at(n).survivors for n in levels] == [1, 1, 1, 5, 6, 30]
+        if cut:
+            assert [report.at(n).pruned for n in levels] == [0, 0, 1, 0, 18, 28]
+            assert [report.at(n).sym_cuts for n in levels] == [0, 0, 1, 2, 12, 23]
+        else:
+            assert [report.at(n).pruned for n in levels] == [0, 0, 1, 0, 23, 40]
+            assert [report.at(n).sym_cuts for n in levels] == [0] * 6
+
+
+def extend17_relabelling():
+    """The first relabelling of the (2,3,4,4,4) blow-up that the benchmark's
+    extend17 workload searches for seed 1."""
+    g, _ = pentagon_blowup(BlobSpec((2, 3, 4, 4, 4)))
+    order = list(range(g.n))
+    random.Random("extend17-1").shuffle(order)
+    return relabelled(g, order)
+
+
+@pytest.mark.parametrize(
+    "seed, n_end, filters",
+    [
+        ("empty", 6, {}),
+        ("empty", 7, {}),
+        ("smoke", 8, {8: PentagonFilter(max_flips=1)}),
+        ("extend17", 18, {18: PentagonFilter(max_flips=1)}),
+    ],
+)
+def test_symmetry_cuts_keep_the_unpruned_counts(monkeypatch, seed, n_end, filters):
+    """Cutting by twin orbits and weighing each kept completion by its orbit
+    size reports the counts and survivors of the search that cuts nothing."""
+    g = {
+        "empty": ColoredGraph.empty,
+        "smoke": lambda: pentagon_blowup(BlobSpec((1, 1, 1, 2, 2)))[0],
+        "extend17": extend17_relabelling,
+    }[seed]()
+    cfg = SearchConfig(n_end=n_end, filters=filters)
+    cut_levels, cut = run_search([g], cfg)
+    without_symmetry_cuts(monkeypatch)
+    full_levels, full = run_search([g], cfg)
+    assert sum(s.sym_cuts for s in cut.levels.values()) > 0
+    assert sum(s.sym_cuts for s in full.levels.values()) == 0
+    assert cut.levels.keys() == full.levels.keys()
+    for n in full.levels:
+        for name in ("completed", "filtered", "duplicates", "survivors"):
+            assert getattr(cut.at(n), name) == getattr(full.at(n), name), (n, name)
+        assert cut.at(n).lp_solves <= full.at(n).lp_solves
+        # the kept representative is the first the uncut search reaches, so
+        # the frontier is the same labelled graphs in the same order
+        assert cut_levels[n] == full_levels[n], n
+    if filters:
+        assert full.at(n_end).filtered > 0
 
 
 def test_lp_solves_counts_every_search_lp(monkeypatch):
@@ -196,6 +256,11 @@ def test_bad_filters_fail_before_any_lp(monkeypatch):
         cfg = SearchConfig(n_end=6, filters={level: PentagonFilter()})
         with pytest.raises(ValueError, match="at least 5 vertices"):
             run_search([ColoredGraph(3, "RRB")], cfg)
+    # a filter is an instance, never its name or its class
+    for bogus in ("pentagon", PentagonFilter, None, 1):
+        cfg = SearchConfig(n_end=6, filters={6: bogus})
+        with pytest.raises(ValueError, match="unknown filter"):
+            run_search([ColoredGraph.empty()], cfg)
     assert calls == []
 
 
@@ -353,6 +418,22 @@ def test_resume_loads_report_without_lp_solves(tmp_path, monkeypatch):
     for node, item in zip(state.frontier, payload["frontier"]):
         g, red, blue, _ = certs.parse_packcert(item["packcert"])
         assert (node.graph, node.red.packing, node.blue.packing) == (g, red, blue)
+
+
+OLD_CHECKPOINT = os.path.join(os.path.dirname(__file__), "checkpoint_v1_n5.json")
+
+
+def test_resume_loads_a_checkpoint_written_before_symmetry_cuts():
+    # `monopack search --n-end 5 --checkpoint` from before sym_cuts existed
+    with open(OLD_CHECKPOINT) as fh:
+        assert all("sym_cuts" not in s for s in json.load(fh)["report"].values())
+    state = resume(OLD_CHECKPOINT)
+    assert state.level == 5 and state.report.at(5).sym_cuts == 0
+    levels, report = run_search([], SearchConfig(n_end=6), state=state)
+    direct_levels, direct = run_search([ColoredGraph.empty()], SearchConfig(n_end=6))
+    assert levels[6] == direct_levels[6]
+    for name in ("completed", "duplicates", "survivors"):
+        assert getattr(report.at(6), name) == getattr(direct.at(6), name), name
 
 
 def test_resume_continues_equivalently(tmp_path, monkeypatch):
