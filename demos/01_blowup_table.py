@@ -10,8 +10,6 @@ stays below the threshold while beating the bipartite construction is
 impossible.
 """
 
-from fractions import Fraction
-
 from monopack import (
     TABLE1,
     BlobSpec,
@@ -20,6 +18,7 @@ from monopack import (
     pentagon_blowup,
     pentagon_pack_closed_form,
 )
+from monopack.search import default_threshold
 
 
 def main() -> None:
@@ -33,7 +32,7 @@ def main() -> None:
         closed = pentagon_pack_closed_form(sizes, flipped)
         assert value == closed == expected
         name = "".join(map(str, sizes)) + ("*" if flipped else "")
-        threshold = Fraction(g.n * (g.n + 1), 4)
+        threshold = default_threshold(g.n)
         bip = (g.n - 1) ** 2 // 4
         print(
             f"{name:>10} {g.n:>3} {str(value):>6} {str(closed):>6} "

@@ -197,12 +197,6 @@ def _orbit_reps(cands: list[int], fixing) -> list[int]:
     return sorted({find(v) for v in cands})
 
 
-def _canonical_order(g: ColoredGraph) -> list[int]:
-    if g.n <= 1:
-        return list(range(g.n))
-    return _Search(g).run()
-
-
 def canonical_key(
     g: ColoredGraph, admit_swap: bool = True
 ) -> tuple[CanonicalKey, RelabelWitness]:
@@ -213,12 +207,12 @@ def canonical_key(
     """
     if not g.is_complete:
         raise ValueError("canonical forms are defined for complete colourings only")
-    order = _canonical_order(g)
+    order = _Search(g).run()
     key_str = relabel(g, order).colors
     swapped = False
     if admit_swap:
         gs = g.swap_colors()
-        order_s = _canonical_order(gs)
+        order_s = _Search(gs).run()
         key_s = relabel(gs, order_s).colors
         if key_s < key_str:
             key_str, order, swapped = key_s, order_s, True

@@ -29,7 +29,9 @@ least 1, and the total weight is at most the claim.
 A <p/q> is what `str(Fraction)` writes: an optional `-`, digits, optionally
 `/` and digits.  Decimal points and exponents are rejected.  Vertex numbers
 and the vertex count are ASCII digits only, with no sign; the graph line is
-read by `graph.parse`, as a graph file is.
+read by `graph.parse`, as a graph file is.  Both parsers refuse, at parse
+time, a line whose vertices are not increasing and below n.  `verify` picks
+the verifier by the header.
 """
 
 from __future__ import annotations
@@ -100,6 +102,8 @@ def parse_packcert(text: str):
             t = tuple(parse_decimal(p) for p in parts[1:4])
         except ValueError:
             raise CertFormatError(f"bad triangle line {ln!r}") from None
+        if not 0 <= t[0] < t[1] < t[2] < g.n:
+            raise CertFormatError(f"triangle line {ln!r} needs 0 <= i < j < k < {g.n}")
         if t in weights[parts[0]]:
             raise CertFormatError(f"duplicate triangle line {ln!r}")
         weights[parts[0]][t] = _parse_fraction(parts[4])
@@ -125,6 +129,18 @@ def verify_packcert(text: str, g: ColoredGraph | None = None) -> tuple[bool, str
     if total < claim:
         return False, f"total weight {total} is below the claim {claim}"
     return True, f"pack >= {claim} verified (total {total})"
+
+
+def verify(text: str, g: ColoredGraph | None) -> tuple[bool, str]:
+    """Replay a PACKCERT or a COVERCERT, as its header (the first non-blank
+    line, unstripped, as the parsers read it) names; CertFormatError on any
+    other header."""
+    header = next((ln for ln in text.splitlines() if ln.strip()), "")
+    if header == PACKCERT_HEADER:
+        return verify_packcert(text, g)
+    if header == COVERCERT_HEADER:
+        return verify_covercert(text, g)
+    raise CertFormatError(f"unrecognised certificate header {header!r}")
 
 
 def format_covercert(g: ColoredGraph, cover: FractionalCover) -> str:

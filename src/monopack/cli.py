@@ -103,14 +103,10 @@ def cmd_pack(args) -> int:
 def cmd_verify(args) -> int:
     text = _read_text(args.certificate)
     g = _load_graph(args.graph) if args.graph else None
-    # the first non-blank line, unstripped, as the certificate parsers read it
-    header = next((ln for ln in text.splitlines() if ln.strip()), "")
-    if header == certs.PACKCERT_HEADER:
-        ok, message = certs.verify_packcert(text, g)
-    elif header == certs.COVERCERT_HEADER:
-        ok, message = certs.verify_covercert(text, g)
-    else:
-        raise CliError(f"unrecognised certificate header {header!r}", EXIT_PARSE)
+    try:
+        ok, message = certs.verify(text, g)
+    except certs.CertFormatError as exc:
+        raise CliError(str(exc), EXIT_PARSE) from exc
     print(("ok: " if ok else "fail: ") + message)
     return EXIT_OK if ok else EXIT_VIOLATED
 

@@ -26,23 +26,6 @@ from .structure import PentagonCert
 
 HALF = Fraction(1, 2)
 
-# blob-size families with proved closed-form pack values; the second family
-# is the one proved for single-edge-flip variants
-B1 = frozenset(
-    {
-        (3, 3, 3, 4, 4), (2, 3, 4, 4, 4), (3, 3, 3, 3, 5), (3, 3, 4, 4, 4),
-        (2, 4, 4, 4, 4), (3, 3, 3, 4, 5), (3, 4, 4, 4, 4), (3, 3, 4, 4, 5),
-        (4, 4, 4, 4, 4), (3, 4, 4, 4, 5), (4, 4, 4, 4, 5), (3, 4, 4, 5, 5),
-        (4, 4, 4, 5, 5), (4, 4, 5, 5, 5), (4, 5, 5, 5, 5), (5, 5, 5, 5, 5),
-    }
-)
-B2 = frozenset(
-    {
-        (3, 3, 3, 4, 4), (3, 3, 4, 4, 4), (3, 4, 4, 4, 4),
-        (4, 4, 4, 4, 4), (4, 4, 4, 4, 5),
-    }
-)
-
 # (sizes, flipped, pack) rows of the blow-up family table
 TABLE1: tuple[tuple[tuple[int, ...], bool, int], ...] = (
     ((3, 3, 3, 4, 4), False, 63),
@@ -67,6 +50,11 @@ TABLE1: tuple[tuple[tuple[int, ...], bool, int], ...] = (
     ((4, 5, 5, 5, 5), False, 138),
     ((5, 5, 5, 5, 5), False, 150),
 )
+
+# blob-size families with proved closed-form pack values; the second family
+# is the one proved for single-edge-flip variants
+B1 = frozenset(sizes for sizes, flipped, _ in TABLE1 if not flipped)
+B2 = frozenset(sizes for sizes, flipped, _ in TABLE1 if flipped)
 
 
 @dataclass(frozen=True)
@@ -115,7 +103,7 @@ def pentagon_blowup(spec: BlobSpec) -> tuple[ColoredGraph, PentagonCert]:
                 red.add((starts[i] + pa, starts[i] + pb))
         for a in blobs[i]:
             for b in blobs[(i + 1) % 5]:
-                red.add((min(a, b), max(a, b)))
+                red.add((a, b))
     g = ColoredGraph.from_red_edges(n, red)
     cert = PentagonCert(blobs, ())
     assert cert.check(g)
@@ -225,9 +213,9 @@ def ab_packing(
       c: cross graph minus two edges meeting at A, 3 <= |A| <= |B| <= |A| + 1
       d: |A| = 3, |B| = 5, cross graph minus a matching of size 2
     """
-    missing = {norm_edge(e) for e in missing}
+    missing = {norm_edge(e, n_a + n_b) for e in missing}
     for a, b in missing:
-        if not (0 <= a < n_a <= b < n_a + n_b):
+        if not a < n_a <= b:
             raise ValueError(f"missing edge ({a}, {b}) is not a cross pair")
     a_verts = range(n_a)
     b_verts = range(n_a, n_a + n_b)
@@ -311,7 +299,7 @@ def _three_five(n_a: int, n_b: int, missing: set[Edge]) -> FractionalPacking:
         in_b = [v for v in t if v >= n_a]
         if not in_a or not in_b:
             continue
-        if any(norm_edge((a, b)) in missing for a in in_a for b in in_b):
+        if any((a, b) in missing for a in in_a for b in in_b):
             continue
         na_p = sum(1 for v in in_a if v in a_prime)
         nb_p = sum(1 for v in in_b if v in b_prime)
@@ -346,8 +334,8 @@ def abc_packing(
         raise ValueError(f"need |B|, |C| in {{3, 4}}, got {n_b}, {n_c}")
     n = 2 + n_b + n_c
     a_verts, b_verts, c_verts = range(2), range(2, 2 + n_b), range(2 + n_b, n)
-    m_ab = {norm_edge(e) for e in missing_ab}
-    m_bc = {norm_edge(e) for e in missing_bc}
+    m_ab = {norm_edge(e, n) for e in missing_ab}
+    m_bc = {norm_edge(e, n) for e in missing_bc}
     for a, b in m_ab:
         if not (a in a_verts and b in b_verts):
             raise ValueError(f"({a}, {b}) is not an A-B pair")

@@ -45,12 +45,18 @@ def edge_index(n: int, i: int, j: int) -> int:
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
 
 
-def norm_edge(e) -> Edge:
-    """The vertex pair `e` as (smaller, larger); ValueError on a loop."""
+def norm_edge(e, n: int) -> Edge:
+    """The vertex pair `e` of K_n as (smaller, larger); ValueError on a loop
+    or on a vertex outside 0..n-1.  The one reader of a vertex pair given
+    from outside; `edge_index` keeps its own check, as `color_of`'s hot path."""
     i, j = e
     if i == j:
         raise ValueError(f"loop edge ({i}, {j})")
-    return (i, j) if i < j else (j, i)
+    if i > j:
+        i, j = j, i
+    if i < 0 or j >= n:
+        raise ValueError(f"vertex out of range for n={n}: ({i}, {j})")
+    return i, j
 
 
 def parse_decimal(text: str) -> int:

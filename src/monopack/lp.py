@@ -341,7 +341,7 @@ def frac_decomposition(n: int, edges):
     where farkas maps edges to rationals with sum_{e in T} y_e >= 0 for every
     triangle T and sum_e y_e < 0.
     """
-    return prescribed_packing(n, dict.fromkeys(map(norm_edge, edges), ONE))
+    return prescribed_packing(n, dict.fromkeys(edges, ONE))
 
 
 def prescribed_packing(n: int, demand: dict[Edge, Fraction]):
@@ -350,7 +350,7 @@ def prescribed_packing(n: int, demand: dict[Edge, Fraction]):
     Returns (packing, None) or (None, farkas) as in `frac_decomposition`,
     with sum_e y_e * demand_e < 0.
     """
-    demand = {norm_edge(e): Fraction(v) for e, v in demand.items()}
+    demand = {norm_edge(e, n): Fraction(v) for e, v in demand.items()}
     for e, v in demand.items():
         if not (0 <= v <= 1):
             raise ValueError(f"demand on edge {e} is {v}, outside [0, 1]")
@@ -379,5 +379,5 @@ def integer_nu(n: int, edges) -> int:
     """
     if n > 9:
         raise ValueError(f"integer_nu is an exhaustive oracle for n <= 9, got n={n}")
-    triangles = ColoredGraph.from_red_edges(n, map(norm_edge, edges)).monochromatic_triangles(RED)
+    triangles = ColoredGraph.from_red_edges(n, edges).monochromatic_triangles(RED)
     return len(max_disjoint(map(triangle_edges, triangles)))

@@ -59,10 +59,6 @@ from .structure import bip_distance_at_most, pentagon_distance
 CHECKPOINT_FORMAT = "monopack-checkpoint"
 CHECKPOINT_VERSION = 1
 
-KEEP = "keep"
-FILTERED_PENTAGON = "filtered-pentagon"
-FILTERED_BIPARTITE = "filtered-bipartite"
-
 
 def default_threshold(n: int) -> Fraction:
     """Bound applied while extending a complete colouring on n vertices: the
@@ -78,6 +74,11 @@ class PentagonFilter:
         if self.max_flips not in (0, 1):
             raise ValueError("max_flips must be 0 or 1")
 
+    def rejects(self, g: ColoredGraph):
+        """A certificate that the complete colouring g is at most max_flips
+        flips from a pentagon blow-up, else None."""
+        return pentagon_distance(g, self.max_flips)
+
 
 @dataclass(frozen=True)
 class BipartiteFilter:
@@ -86,6 +87,15 @@ class BipartiteFilter:
     def __post_init__(self):
         if self.k < 0:
             raise ValueError("k must be non-negative")
+
+    def rejects(self, g: ColoredGraph):
+        """(colour, certificate) for the first colour class of g that at most
+        k edge deletions make bipartite, else None."""
+        for color in (RED, BLUE):
+            cert = bip_distance_at_most(g.n, g.edges_of_color(color), self.k)
+            if cert is not None:
+                return color, cert
+        return None
 
 
 @dataclass(frozen=True)
@@ -245,24 +255,6 @@ def prune(node: SearchNode, threshold: Fraction) -> Fraction | None:
     return certified_exceeds(node.graph, threshold, node.red.packing, node.blue.packing)
 
 
-def classify_complete(g: ColoredGraph, level_filter):
-    """Apply a structural filter to a completed colouring."""
-    if level_filter is None:
-        return KEEP, None
-    if isinstance(level_filter, PentagonFilter):
-        cert = pentagon_distance(g, level_filter.max_flips)
-        if cert is not None:
-            return FILTERED_PENTAGON, cert
-        return KEEP, None
-    if isinstance(level_filter, BipartiteFilter):
-        for color in (RED, BLUE):
-            cert = bip_distance_at_most(g.n, g.edges_of_color(color), level_filter.k)
-            if cert is not None:
-                return FILTERED_BIPARTITE, (color, cert)
-        return KEEP, None
-    raise ValueError(f"unknown filter {level_filter!r}")
-
-
 def out_of_order(twin: list[int], g: ColoredGraph, v: int) -> bool:
     """Whether the edge (v, newest) just coloured puts a red before a blue
     among v's twins, taken in index order; twin[a] names a's class."""
@@ -371,8 +363,7 @@ def run_search(
                     # one, so they share its verdict and its key
                     weight = orbit_size(twin, node.graph)
                     stats.completed += weight
-                    verdict, _ = classify_complete(node.graph, level_filter)
-                    if verdict != KEEP:
+                    if level_filter and level_filter.rejects(node.graph) is not None:
                         stats.filtered += weight
                         continue
                     key, _ = canonical_key(node.graph)
@@ -416,6 +407,9 @@ def checkpoint(state: SearchState, path: str) -> None:
     with open(tmp, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
+        # on disk before the rename, so an OS crash cannot leave it empty
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(tmp, path)
 
 

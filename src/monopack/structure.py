@@ -37,18 +37,6 @@ RED_WINDOW = (0, 2, 3)
 BLUE_WINDOW = (0, 1, 2)
 
 
-def _edge_set(n: int, edges) -> set[Edge]:
-    """The edges as (smaller, larger) pairs; ValueError on a loop or on a
-    vertex outside 0..n-1."""
-    out = set()
-    for e in edges:
-        i, j = norm_edge(e)
-        if i < 0 or j >= n:
-            raise ValueError(f"vertex out of range for n={n}: ({i}, {j})")
-        out.add((i, j))
-    return out
-
-
 # -- distance to bipartite -------------------------------------------------
 
 
@@ -62,7 +50,7 @@ class BipartitionCert:
         if self.part1 & self.part2 or (self.part1 | self.part2) != set(range(n)):
             return False
         try:
-            edge_set = _edge_set(n, edges)
+            edge_set = {norm_edge(e, n) for e in edges}
         except ValueError:
             return False
         return all(
@@ -115,7 +103,7 @@ def bip_distance_at_most(n: int, edges, k: int) -> BipartitionCert | None:
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    edge_set = _edge_set(n, edges)
+    edge_set = {norm_edge(e, n) for e in edges}
 
     def rec(current: set[Edge], budget: int) -> list[int] | None:
         side, cycle = _odd_cycle(n, current)
@@ -124,7 +112,7 @@ def bip_distance_at_most(n: int, edges, k: int) -> BipartitionCert | None:
         if budget == 0:
             return None
         for e in zip(cycle, cycle[1:] + cycle[:1]):
-            side = rec(current - {norm_edge(e)}, budget - 1)
+            side = rec(current - {norm_edge(e, n)}, budget - 1)
             if side is not None:
                 return side
         return None
@@ -147,7 +135,7 @@ def min_bipartition_deletions(n: int, edges) -> int:
     """
     if not 1 <= n <= 28:
         raise ValueError(f"n={n} outside supported range 1..28")
-    edge_list = sorted(_edge_set(n, edges))
+    edge_list = sorted({norm_edge(e, n) for e in edges})
     if not edge_list:
         return 0
     a = n // 2

@@ -9,6 +9,7 @@ from monopack.certs import (
     format_packcert,
     parse_covercert,
     parse_packcert,
+    verify,
     verify_covercert,
     verify_packcert,
 )
@@ -90,6 +91,11 @@ def test_packcert_parse_errors():
             "PACKCERT v1\ngraph: n=3 RRR\nclaim: pack >= 3\n"
             "R 0 1 2 1\nR 0 1 2 1\n"
         )
+    # triangle lines are refused at parse time, as COVERCERT edge lines are,
+    # unless 0 <= i < j < k < n
+    for line in ("R 2 1 0 1", "R 0 1 9 1"):
+        with pytest.raises(CertFormatError, match="0 <= i < j < k < 3"):
+            parse_packcert(f"PACKCERT v1\ngraph: n=3 RRR\nclaim: pack >= 6\n{line}\n")
 
 
 def test_packcert_rejects_wrong_color_triangle():
@@ -108,6 +114,19 @@ def test_packcert_rejects_unsorted_and_out_of_range_triangles():
     outside = "PACKCERT v1\ngraph: n=3 RRR\nclaim: pack >= 0\nR 0 1 5 1\n"
     ok, msg = verify_packcert(outside)
     assert not ok and "0 <= i < j < k < 3" in msg
+
+
+def test_verify_picks_the_verifier_by_header():
+    g, red, blue = solved_k5()
+    packcert = format_packcert(g, red, blue)
+    covercert = format_covercert(g, nu_star(g, RED).cover)
+    assert verify(packcert, g) == verify_packcert(packcert, g)
+    assert verify(covercert, None) == verify_covercert(covercert)
+    # the header is the first non-blank line, unstripped
+    assert verify("\n" + packcert, g)[0]
+    for text in ("", "PACKCERT v1 \n", " COVERCERT v1\n", "BOGUS v1\n" + packcert):
+        with pytest.raises(CertFormatError, match="unrecognised certificate header"):
+            verify(text, None)
 
 
 def test_covercert_round_trip():

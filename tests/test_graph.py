@@ -11,6 +11,7 @@ from monopack.graph import (
     GraphFormatError,
     all_edges,
     edge_index,
+    norm_edge,
     parse,
 )
 
@@ -33,6 +34,15 @@ def test_edge_index_rejects_loops_and_out_of_range():
         edge_index(5, 0, 5)
     with pytest.raises(ValueError):
         edge_index(5, -1, 3)
+
+
+def test_norm_edge_orders_a_pair_of_k_n_and_refuses_the_rest():
+    assert norm_edge((3, 1), 5) == norm_edge((1, 3), 5) == (1, 3)
+    with pytest.raises(ValueError, match="loop"):
+        norm_edge((2, 2), 5)
+    for e in [(0, 5), (5, 0), (-1, 3), (3, -1)]:
+        with pytest.raises(ValueError, match="out of range"):
+            norm_edge(e, 5)
 
 
 def test_color_string_length_validated():

@@ -523,6 +523,11 @@ def test_loop_edge_rejected():
         integer_nu(3, out_of_range)
     with pytest.raises(ValueError, match="out of range"):
         prescribed_packing(3, {(2, 5): F(1, 2)})
+    # a pair outside K_n is refused whatever its demand, zero included
+    with pytest.raises(ValueError, match="out of range"):
+        prescribed_packing(3, {(2, 5): F(0)})
+    with pytest.raises(ValueError, match="out of range"):
+        prescribed_packing(3, {(-1, 1): F(0)})
     with pytest.raises(ValueError, match="out of range"):
         min_bipartition_deletions(4, [(0, 7)])
     with pytest.raises(ValueError, match="out of range"):

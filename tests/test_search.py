@@ -17,7 +17,6 @@ from monopack.search import (
     PentagonFilter,
     SearchConfig,
     SearchNode,
-    classify_complete,
     default_threshold,
     expose,
     prune,
@@ -334,11 +333,10 @@ def test_filters_remove_structured_survivors():
 
 def test_classify_complete():
     g, _ = pentagon_blowup(BlobSpec((1, 1, 1, 1, 1)))
-    verdict, cert = classify_complete(g, PentagonFilter(0))
-    assert verdict == "filtered-pentagon" and cert.check(g)
-    assert classify_complete(g, None) == ("keep", None)
-    with pytest.raises(ValueError):
-        classify_complete(g, "bogus")
+    cert = PentagonFilter(0).rejects(g)
+    assert cert is not None and cert.check(g)
+    # both colour classes are 5-cycles, so neither is bipartite
+    assert BipartiteFilter(0).rejects(g) is None
 
 
 def test_filters_give_a_colouring_and_its_swap_one_verdict():
@@ -356,8 +354,8 @@ def test_filters_give_a_colouring_and_its_swap_one_verdict():
             six.append(h)
     for g in five + six:
         for level_filter in filters:
-            verdict, _ = classify_complete(g, level_filter)
-            assert classify_complete(g.swap_colors(), level_filter)[0] == verdict
+            verdict = level_filter.rejects(g) is None
+            assert (level_filter.rejects(g.swap_colors()) is None) == verdict
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -394,6 +392,30 @@ def test_failed_checkpoint_keeps_previous_snapshot(tmp_path, monkeypatch):
     again = resume(path)
     assert again.level == 4
     assert [n.graph for n in again.frontier] == [n.graph for n in state.frontier]
+
+
+def test_checkpoint_syncs_the_snapshot_before_renaming_it(tmp_path, monkeypatch):
+    path = os.path.join(tmp_path, "ckpt.json")
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        st = os.fstat(fd)
+        calls.append(("fsync", st.st_ino, st.st_size))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append(("replace", os.stat(src).st_ino, src, dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    run_search([ColoredGraph(3, "RRB")], SearchConfig(n_end=4), checkpoint_path=path)
+    assert [c[0] for c in calls] == ["fsync", "replace"]
+    (_, synced, size), (_, renamed, src, dst) = calls
+    # the file synced is the temporary one, complete, and only then renamed
+    assert (synced, src, dst) == (renamed, path + ".tmp", path)
+    assert size == os.path.getsize(path)
 
 
 def test_resume_loads_report_without_lp_solves(tmp_path, monkeypatch):
