@@ -10,11 +10,13 @@ best sequence found so far are cut, and (c) automorphisms discovered when
 two orderings tie are used to skip equivalent candidates: at each node, the
 candidates are merged into orbits under the automorphisms found so far that
 fix every placed vertex, and only the least member of each orbit is
-expanded.  Colour swap, when admitted, is handled by canonicalising both the
-graph and its swap and keeping the smaller key.
+expanded.  With colour swap admitted, the swapped rows are searched too and
+the smaller key wins (g's on a tie).  A swap keeps g's twins and
+automorphisms: the second search starts from those the first found, which
+never prune the lexicographically first minimising ordering (the witness).
 
 Each node costs O(n) plus the automorphisms found since its parent looked.
-The colour rows are built once per search; every unplaced vertex carries its
+The colour rows are built once per key; every unplaced vertex carries its
 step string down the search, and placing v appends one character to each.
 Every automorphism is stored with its set of moved points.  A child takes
 its parent's list of prefix-fixing automorphisms, keeps those that fix v,
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import ColoredGraph
+from .graph import SWAP_COLORS, ColoredGraph
 
 
 @dataclass(frozen=True)
@@ -92,8 +94,6 @@ def twin_classes(g: ColoredGraph) -> list[int]:
 def _twins(rows: list[str]) -> list[int]:
     rep = list(range(len(rows)))
     for v, rv in enumerate(rows):
-        if rep[v] != v:
-            continue
         for u in range(v):
             ru = rows[u]
             # equal rows apart from positions u < v
@@ -109,15 +109,15 @@ def _twins(rows: list[str]) -> list[int]:
 
 
 class _Search:
-    def __init__(self, g: ColoredGraph):
-        self.n = g.n
-        self.rows = g.color_rows()
-        self.cls = _refine(self.rows)
-        self.twin = _twins(self.rows)
+    def __init__(self, rows: list[str], twin: list[int], autos: list):
+        self.n = len(rows)
+        self.rows = rows
+        self.cls = _refine(rows)
+        self.twin = twin
         self.best_seq: list[tuple[str, int]] | None = None
         self.best_order: list[int] | None = None
-        # automorphisms found so far, each with its set of moved points
-        self.autos: list[tuple[tuple[int, ...], frozenset[int]]] = []
+        # known automorphisms with their moved points; the search appends its own
+        self.autos: list[tuple[tuple[int, ...], frozenset[int]]] = autos
 
     def run(self) -> list[int]:
         self._dfs([], [], {v: ("", c) for v, c in enumerate(self.cls)}, [], 0)
@@ -207,15 +207,15 @@ def canonical_key(
     """
     if not g.is_complete:
         raise ValueError("canonical forms are defined for complete colourings only")
-    order = _Search(g).run()
-    key_str = relabel(g, order).colors
-    swapped = False
-    if admit_swap:
-        gs = g.swap_colors()
-        order_s = _Search(gs).run()
-        key_s = relabel(gs, order_s).colors
-        if key_s < key_str:
-            key_str, order, swapped = key_s, order_s, True
+    rows = g.color_rows()
+    twin, autos, found = _twins(rows), [], []
+    for swapped in (False, True) if admit_swap else (False,):
+        if swapped:
+            rows = [row.translate(SWAP_COLORS) for row in rows]
+        order = _Search(rows, twin, autos).run()
+        key = "".join(rows[v][u] for p, v in enumerate(order) for u in order[p + 1 :])
+        found.append((key, swapped, order))
+    key_str, swapped, order = min(found)  # on a tie, g's key (not swapped) wins
     perm = [0] * g.n
     for p, v in enumerate(order):
         perm[v] = p

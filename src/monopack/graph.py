@@ -18,6 +18,7 @@ BLUE = "B"
 UNASSIGNED = "."
 
 COLORS = (RED, BLUE)
+SWAP_COLORS = str.maketrans({RED: BLUE, BLUE: RED})  # str.translate table
 # matches the longest well-formed prefix of a colour string
 _COLOUR_RUN = re.compile("[" + re.escape(RED + BLUE + UNASSIGNED) + "]*")
 
@@ -221,8 +222,7 @@ class ColoredGraph:
         return ColoredGraph(self.n - 1, "".join(x for e, x in pairs if u not in e))
 
     def swap_colors(self) -> "ColoredGraph":
-        table = str.maketrans({RED: BLUE, BLUE: RED})
-        return ColoredGraph(self.n, self.colors.translate(table))
+        return ColoredGraph(self.n, self.colors.translate(SWAP_COLORS))
 
     # -- text format ------------------------------------------------------
 

@@ -348,12 +348,16 @@ def prescribed_packing(n: int, demand: dict[Edge, Fraction]):
     """Packing of K_n whose edge weights equal `demand` exactly, if one exists.
 
     Returns (packing, None) or (None, farkas) as in `frac_decomposition`,
-    with sum_e y_e * demand_e < 0.
+    with sum_e y_e * demand_e < 0.  A pair may be named once, in either order.
     """
-    demand = {norm_edge(e, n): Fraction(v) for e, v in demand.items()}
-    for e, v in demand.items():
+    given, demand = demand, {}
+    for e, v in given.items():
+        e, v = norm_edge(e, n), Fraction(v)
+        if e in demand:
+            raise ValueError(f"demand names the pair {e} twice")
         if not (0 <= v <= 1):
             raise ValueError(f"demand on edge {e} is {v}, outside [0, 1]")
+        demand[e] = v
     es = sorted(e for e, v in demand.items() if v > 0)
     if not es:
         return FractionalPacking(RED, {}), None

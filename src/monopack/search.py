@@ -421,7 +421,7 @@ def resume(path: str) -> SearchState:
     with open(path) as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
             raise ValueError(f"corrupt checkpoint: {exc}") from exc
     if type(payload) is not dict or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError("not a search checkpoint file")

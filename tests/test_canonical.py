@@ -205,12 +205,14 @@ def test_search_state_matches_rescan():
     """Every node's carried steps and fixing list equal what a rescan gives:
     the steps, in vertex order, are the colours to the placed vertices plus
     the refinement class, and the fixing list holds the automorphisms among
-    autos[:seen] that fix every placed vertex."""
+    autos[:seen] that fix every placed vertex.  The swap's search seeded with
+    g's automorphisms, as `canonical_key` runs it, returns the order an
+    unseeded one does, and its nodes match the rescan too."""
     nodes = []
 
     class Rescanned(canonical._Search):
-        def __init__(self, g):
-            super().__init__(g)
+        def __init__(self, g, autos):
+            super().__init__(g.color_rows(), canonical._twins(g.color_rows()), autos)
             self.g = g
 
         def _dfs(self, order, seq, steps, fixing, seen):
@@ -231,7 +233,17 @@ def test_search_state_matches_rescan():
     graphs += [
         ColoredGraph(12, r["colors"]) for r in golden_records() if r["name"] == "symmetric n=12"
     ]
+
+    def search(h, autos):
+        return canonical._Search(h.color_rows(), canonical._twins(h.color_rows()), autos).run()
+
+    seeds = []
     for g in graphs:
         for h in (g, g.swap_colors()):
-            assert Rescanned(h).run() == canonical._Search(h).run()
+            assert Rescanned(h, []).run() == search(h, [])
+        autos = []
+        search(g, autos)
+        seeds.append(len(autos))
+        assert Rescanned(g.swap_colors(), autos).run() == search(g.swap_colors(), [])
     assert max(nodes) > 50  # nodes below many automorphisms were checked
+    assert max(seeds) > 10  # the swap's search started from many of them

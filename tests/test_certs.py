@@ -82,6 +82,8 @@ def test_packcert_parse_errors():
         parse_packcert("PACKCERT v1\nwrong\nclaim: pack >= 3\n")
     with pytest.raises(CertFormatError):
         parse_packcert("PACKCERT v1\ngraph: n=3 RRR\nclaim: pack >= x\n")
+    with pytest.raises(CertFormatError, match="expected 'claim: pack >= <p/q>'"):
+        parse_packcert("PACKCERT v1\ngraph: n=3 RRR\nclaim: pack > 3\n")
     with pytest.raises(CertFormatError):
         parse_packcert(
             "PACKCERT v1\ngraph: n=3 RRR\nclaim: pack >= 3\nR 0 1 2\n"
@@ -167,6 +169,8 @@ def test_covercert_parse_errors():
         parse_covercert(
             "COVERCERT v1\ngraph: n=3 RRR\ncolor: G\nclaim: nustar <= 1\n"
         )
+    with pytest.raises(CertFormatError, match="expected 'claim: nustar <= <p/q>'"):
+        parse_covercert("COVERCERT v1\ngraph: n=3 RRR\ncolor: R\nclaim: nustar < 1\n")
     with pytest.raises(CertFormatError):
         parse_covercert(
             "COVERCERT v1\ngraph: n=3 RRR\ncolor: R\nclaim: nustar <= 1\n0 1\n"

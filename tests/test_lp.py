@@ -159,6 +159,31 @@ def test_float_solution_failing_checks_falls_back_to_exact(monkeypatch):
     assert y == {j: F(1, 3) for j in range(len(edges))}
 
 
+def test_non_optimal_highs_model_falls_back_to_exact(monkeypatch):
+    # HiGHS reports an unbounded model (a column in no row) and an
+    # infeasible one as not optimal, and `linprog` returns None for both
+    assert lp.linprog(c=[1], index=[], start=[0, 0], rhs=[]) is None
+    assert lp.linprog(c=[1], index=[0], start=[0, 1], rhs=[-1]) is None
+    # `_optimum` then returns the exact simplex's optimum
+    g = random_graph(random.Random(43), 8)
+    tris, edges, rhs, c = packing_lp(g, RED)
+    assert tris
+    monkeypatch.setattr(lp, "linprog", lambda **_: None)
+    x, y, value = lp._optimum(tris, edges, rhs, c)
+    ex, ey, exact_value = lp._exact_solve(*lp.incidence(tris, edges), rhs, c)
+    assert value == exact_value
+    assert x == {tris[i]: w for i, w in ex.items()}
+    assert y == {edges[j]: w for j, w in ey.items()}
+
+
+def test_rationalize_refuses_a_feasible_pair_of_unequal_values():
+    g = ColoredGraph.monochromatic(3)
+    lp_args = (*lp.incidence(*packing_lp(g, RED)[:2]), [1, 1, 1], [1])
+    # x = 0 and y = 1 on every edge are feasible, but 0 != 3
+    assert rationalize([0.0], [1.0, 1.0, 1.0], *lp_args) is None
+    assert rationalize([1.0], [1.0, 0.0, 0.0], *lp_args)[2] == 1
+
+
 def test_float_path_checks_cover_against_the_solved_triangles(monkeypatch):
     g = ColoredGraph.monochromatic(4)
     tris, edges, rhs, c = packing_lp(g, RED)
@@ -387,6 +412,19 @@ def test_prescribed_packing_roundtrip():
     packing, farkas = prescribed_packing(4, demand)
     assert packing is None
     assert_farkas(farkas, [(0, 1, 2)], demand, {})
+
+
+def test_prescribed_packing_refuses_a_pair_named_twice():
+    # the demand on 01 is 1 in one spelling and 0 in the other, in either
+    # key order; a pair named twice was read as whichever key came last
+    spellings = [((0, 1), F(1)), ((1, 0), F(0))]
+    for first, second in (spellings, spellings[::-1]):
+        demand = dict([first, ((1, 2), F(1)), ((0, 2), F(1)), second])
+        with pytest.raises(ValueError, match=r"pair \(0, 1\) twice"):
+            prescribed_packing(3, demand)
+    # one spelling alone is read as the ordered pair
+    packing, farkas = prescribed_packing(3, {(1, 0): 1, (1, 2): 1, (0, 2): 1})
+    assert farkas is None and packing.weights == {(0, 1, 2): 1}
 
 
 def assert_farkas(farkas, triangles, demand, capacity):

@@ -532,6 +532,12 @@ def test_resume_rejects_corrupt_and_mismatched(tmp_path):
         fh.write('{"format": "something-else"}')
     with pytest.raises(ValueError):
         resume(path)
+    # nesting deeper than the JSON reader's recursion limit is a parse error
+    with open(path, "w") as fh:
+        fh.write("[" * 5000 + "]" * 5000)
+    with pytest.raises(ValueError, match="corrupt checkpoint"):
+        resume(path)
+    assert main(["search", "--resume", path, "--n-end", "5"]) == 2
     good = os.path.join(tmp_path, "good.json")
     run_search([ColoredGraph(3, "RRB")], SearchConfig(n_end=4), checkpoint_path=good)
     # an overstated claim fails the same replay as `monopack verify`
@@ -560,6 +566,7 @@ def test_resume_rejects_corrupt_and_mismatched(tmp_path):
         lambda p: p.pop("frontier"),
         lambda p: p.pop("report"),
         lambda p: p.pop("admit_swap"),
+        lambda p: p.update(version=2),
         # a frontier kept up to isomorphism without colour swap
         lambda p: p.update(admit_swap=False),
         lambda p: p["frontier"][0].pop("packcert"),

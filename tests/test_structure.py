@@ -280,6 +280,16 @@ def test_apex_has_bad_configuration_unless_it_fits_a_blob():
                 assert h.color_of(5, v) == c.color
 
 
+def test_pentagon_distance_refuses_bad_arguments():
+    g = pentagon_blowup(BlobSpec((1, 1, 1, 1, 1)))[0]
+    assert pentagon_distance(g, 0) is not None
+    for max_flips in (-1, 2):
+        with pytest.raises(ValueError, match="max_flips must be 0 or 1"):
+            pentagon_distance(g, max_flips)
+    with pytest.raises(ValueError, match="complete colourings"):
+        pentagon_distance(ColoredGraph(5, "R" * 9 + "."), 0)
+
+
 def test_bad_configurations_require_flip_free_cert():
     g = flipped_blowup(BlobSpec((2, 2, 2, 2, 2)))
     h = g.add_vertex()
