@@ -2,7 +2,8 @@
 
 All numeric output is exact rationals formatted as p/q; results that state a
 bound are backed by certificates that `verify` can replay.  Exit codes:
-0 success, 1 property violated, 2 parse error, 3 precondition error.
+0 success, 1 property violated, 2 parse error, 3 precondition error, 141 the
+reader of stdout went away (a shell's status for a writer killed by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
+EXIT_PIPE = 141
 
 
 class CliError(Exception):
@@ -349,7 +351,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flushed here, a closed pipe raises below rather than at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the exit flush of what is still buffered goes to devnull, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

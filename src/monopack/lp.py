@@ -339,9 +339,9 @@ def frac_decomposition(n: int, edges):
 
     Returns (packing, None) on success or (None, farkas) on infeasibility,
     where farkas maps edges to rationals with sum_{e in T} y_e >= 0 for every
-    triangle T and sum_e y_e < 0.
+    triangle T and sum_e y_e < 0.  An edge may be named once, in either order.
     """
-    return prescribed_packing(n, dict.fromkeys(edges, ONE))
+    return _packing_with_loads(n, ((e, ONE) for e in edges))
 
 
 def prescribed_packing(n: int, demand: dict[Edge, Fraction]):
@@ -350,8 +350,13 @@ def prescribed_packing(n: int, demand: dict[Edge, Fraction]):
     Returns (packing, None) or (None, farkas) as in `frac_decomposition`,
     with sum_e y_e * demand_e < 0.  A pair may be named once, in either order.
     """
-    given, demand = demand, {}
-    for e, v in given.items():
+    return _packing_with_loads(n, demand.items())
+
+
+def _packing_with_loads(n: int, items):
+    """`prescribed_packing` of the (pair, demand) items."""
+    demand = {}
+    for e, v in items:
         e, v = norm_edge(e, n), Fraction(v)
         if e in demand:
             raise ValueError(f"demand names the pair {e} twice")

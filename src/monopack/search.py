@@ -24,7 +24,7 @@ colourings with every blue edge before every red one: the lex-leader of each
 orbit of the product of symmetric groups (Crawford, Ginsberg, Luks & Roy, KR
 1996), and the first one of its orbit that the blue-first depth-first search
 reaches, so the survivors are the same labelled graphs as without the cut.
-A child that breaks the order is dropped unsettled as a symmetry cut.  Pack
+A child that breaks the order is never built: a symmetry cut.  Pack
 values, filter verdicts and canonical keys are isomorphism invariants, so a
 kept completion counts for its whole orbit, of size prod C(|class|, reds):
 `completed`, `filtered` and `duplicates` count labelled colourings, as the
@@ -181,7 +181,7 @@ class LevelStats:
     completed: int = 0  # complete colourings within the threshold
     duplicates: int = 0  # unfiltered completions isomorphic to a kept one
     lp_solves: int = 0  # nu_star solves by settle: every LP the search solves
-    sym_cuts: int = 0  # symmetry cuts: children that colour a twin red before blue
+    sym_cuts: int = 0  # symmetry cuts: children never built, as they colour a twin red before blue
 
 
 @dataclass
@@ -216,16 +216,22 @@ def choose_next_vertex(node: SearchNode) -> int:
     return best_v
 
 
-def expose(node: SearchNode, v: int) -> tuple[SearchNode, SearchNode]:
-    """Colour the edge (v, newest) both ways; grow only the changed colour's
-    bounds, without an LP."""
+def expose(node: SearchNode, v: int, twin: list[int]) -> list[SearchNode]:
+    """The children colouring the edge (v, newest) that keep v's twin class
+    (twin[a] names a's class) blue before red in index order, red then blue;
+    each grows only the changed colour's bounds, without an LP."""
     g = node.graph
     u = g.n - 1
-    red_g = g.set_edge(v, u, RED)
-    blue_g = g.set_edge(v, u, BLUE)
-    red_child = SearchNode(red_g, grow(node.red, red_g, v), node.blue)
-    blue_child = SearchNode(blue_g, node.red, grow(node.blue, blue_g, v))
-    return red_child, blue_child
+    # red needs no higher twin blue, blue no lower twin red; the node is in
+    # order, so at least one child is admitted
+    children = []
+    if not any(twin[a] == twin[v] and g.color_of(a, u) == BLUE for a in range(v + 1, u)):
+        red_g = g.set_edge(v, u, RED)
+        children.append(SearchNode(red_g, grow(node.red, red_g, v), node.blue))
+    if not any(twin[a] == twin[v] and g.color_of(a, u) == RED for a in range(v)):
+        blue_g = g.set_edge(v, u, BLUE)
+        children.append(SearchNode(blue_g, node.red, grow(node.blue, blue_g, v)))
+    return children
 
 
 def settle(node: SearchNode, threshold: Fraction) -> tuple[SearchNode, int]:
@@ -253,17 +259,6 @@ def prune(node: SearchNode, threshold: Fraction) -> Fraction | None:
     if 3 * (node.red.lo + node.blue.lo) <= threshold:
         return None
     return certified_exceeds(node.graph, threshold, node.red.packing, node.blue.packing)
-
-
-def out_of_order(twin: list[int], g: ColoredGraph, v: int) -> bool:
-    """Whether the edge (v, newest) just coloured puts a red before a blue
-    among v's twins, taken in index order; twin[a] names a's class."""
-    u = g.n - 1
-    if g.color_of(v, u) == BLUE:
-        rivals, color = range(v), RED
-    else:
-        rivals, color = range(v + 1, u), BLUE
-    return any(twin[a] == twin[v] and g.color_of(a, u) == color for a in rivals)
 
 
 def orbit_size(twin: list[int], g: ColoredGraph) -> int:
@@ -352,12 +347,9 @@ def run_search(
                 if prune(node, threshold) is not None:
                     stats.pruned += 1
                 elif not node.graph.is_complete:
-                    v = choose_next_vertex(node)
-                    for child in expose(node, v):
-                        if out_of_order(twin, child.graph, v):
-                            stats.sym_cuts += 1
-                        else:
-                            stack.append(child)
+                    children = expose(node, choose_next_vertex(node), twin)
+                    stats.sym_cuts += 2 - len(children)
+                    stack += children
                 else:
                     # the orbit's other colourings are isomorphic to this
                     # one, so they share its verdict and its key

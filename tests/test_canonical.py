@@ -247,3 +247,7 @@ def test_search_state_matches_rescan():
         assert Rescanned(g.swap_colors(), autos).run() == search(g.swap_colors(), [])
     assert max(nodes) > 50  # nodes below many automorphisms were checked
     assert max(seeds) > 10  # the swap's search started from many of them
+
+
+def test_graphs_of_different_orders_are_not_isomorphic():
+    assert not are_isomorphic(ColoredGraph.monochromatic(3), ColoredGraph.monochromatic(4))

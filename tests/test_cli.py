@@ -1,9 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from monopack import search as search_mod
+from monopack import cli, search as search_mod
 from monopack.cli import main
 from monopack.constructions import BlobSpec, pentagon_blowup
 from monopack.graph import ColoredGraph
@@ -129,6 +131,12 @@ def test_construct_bipartite_and_bipdist(tmp_path, capsys):
     assert record["bipartite_within"] is None
     assert main(["construct", "bipartite", "-n", "8"]) == 3
     capsys.readouterr()
+    # no bipartite colouring of K_8 is a pentagon blow-up
+    assert main(["construct", "bipartite", "-n", "8", "-m", "0"]) == 0
+    with open(path, "w") as fh:
+        fh.write(capsys.readouterr().out)
+    assert main(["pentagon", path, "--max-flips", "0"]) == 0
+    assert capsys.readouterr().out == '{"max_flips": 0, "pentagon": null}\n'
 
 
 def test_decompose(tmp_path, capsys):
@@ -160,6 +168,15 @@ def test_table1_runs(capsys):
     for line in lines:
         record = json.loads(line)
         assert record["match"]
+
+
+def test_table1_mismatch_exits_1(capsys, monkeypatch):
+    sizes, flipped, expected = cli.TABLE1[0]
+    monkeypatch.setattr(cli, "TABLE1", (cli.TABLE1[0], (sizes, flipped, expected + 1)))
+    assert main(["table1"]) == 1
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["match"] for r in records] == [True, False]
+    assert records[1]["expected"] == expected + 1
 
 
 def test_search_cli(tmp_path, capsys):
@@ -294,3 +311,22 @@ def test_pentagon_too_small(tmp_path, capsys):
     path = write_graph(tmp_path, ColoredGraph.monochromatic(4))
     assert main(["pentagon", path]) == 3
     capsys.readouterr()
+
+
+def test_closed_stdout_ends_quietly():
+    # the graph line, 179 700 characters, is more than a pipe holds, so its
+    # write still runs when the reader closes the pipe after one line
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    # unbuffered, stdout would drop the unwritten rest without an error
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "monopack.cli", "construct", "bipartite", "-n", "600", "-m", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"n=600\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert err == b""
+    assert proc.wait() == 141  # the status a shell gives a writer killed by SIGPIPE

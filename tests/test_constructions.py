@@ -265,3 +265,16 @@ def test_abc_validation():
         abc_packing(3, 3, [], [(2, 5), (3, 6), (4, 7)])
     with pytest.raises(ValueError):
         abc_packing(3, 3, [(0, 2)], [(2, 5)])
+
+
+def test_construction_refusals():
+    with pytest.raises(ValueError, match="one interior rule per blob"):
+        BlobSpec((1, 1, 1, 1, 1), (RED,) * 4)
+    with pytest.raises(ValueError, match=r"missing edge \(0, 1\) is not a cross pair"):
+        ab_packing("b", 3, 3, [(1, 0)])
+    with pytest.raises(ValueError, match=r"case c needs 3 <= \|A\|"):
+        ab_packing("c", 2, 2, [(0, 2), (0, 3)])
+    with pytest.raises(ValueError, match=r"\(2, 3\) is not an A-B pair"):
+        abc_packing(3, 3, missing_ab=[(2, 3)])
+    with pytest.raises(ValueError, match=r"\(0, 5\) is not a B-C pair"):
+        abc_packing(3, 3, missing_bc=[(0, 5)])

@@ -173,3 +173,22 @@ def test_from_red_edges():
     for g in random_graphs(20, seed=2):
         for c in (RED, BLUE, UNASSIGNED):
             assert g.edges_of_color(c) == [e for e in all_edges(g.n) if g.color_of(*e) == c]
+
+
+def test_graph_refusals():
+    with pytest.raises(ValueError, match="non-negative, got -1"):
+        ColoredGraph(-1, "")
+    g = ColoredGraph.monochromatic(4)
+    for ijk in ((0, 0, 1), (2, 1, 3), (0, 1, 4), (-1, 0, 1)):
+        with pytest.raises(ValueError, match="needs 0 <= i < j < k < 4"):
+            g.triangle_colors(*ijk)
+    with pytest.raises(ValueError, match="colour must be one of"):
+        g.monochromatic_triangles(UNASSIGNED)
+    grown = g.add_vertex()
+    with pytest.raises(ValueError, match="completely coloured"):
+        grown.add_vertex()
+    with pytest.raises(ValueError, match=r"edge \(0, 4\) is unassigned"):
+        grown.flip_edge(0, 4)
+    for u in (-1, 4):
+        with pytest.raises(ValueError, match=f"vertex {u} out of range for n=4"):
+            g.delete_vertex(u)

@@ -427,6 +427,14 @@ def test_prescribed_packing_refuses_a_pair_named_twice():
     assert farkas is None and packing.weights == {(0, 1, 2): 1}
 
 
+def test_frac_decomposition_refuses_an_edge_named_twice():
+    # a repeat is refused in either order, from any iterable of edges
+    for repeat in ((0, 1), (1, 0)):
+        edges = iter([(0, 1), repeat, (1, 2), (0, 2)])
+        with pytest.raises(ValueError, match=r"^demand names the pair \(0, 1\) twice$"):
+            frac_decomposition(3, edges)
+
+
 def assert_farkas(farkas, triangles, demand, capacity):
     """`farkas` proves that no weights on `triangles` meet the demands and
     capacities."""
@@ -583,3 +591,12 @@ def test_integer_at_most_fractional_small_random():
         for c in (RED, BLUE):
             nu = integer_nu(g.n, g.edges_of_color(c))
             assert nu <= nu_star(g, c).lo
+
+
+def test_packing_colour_and_demand_range_refusals():
+    g = ColoredGraph.monochromatic(3)
+    with pytest.raises(ValueError, match="colour must be one of"):
+        lp.FractionalPacking(".", {}).check_feasible(g)
+    for v in (F(-1, 2), F(3, 2)):
+        with pytest.raises(ValueError, match=rf"demand on edge \(0, 1\) is {v}, outside \[0, 1\]"):
+            prescribed_packing(3, {(0, 1): v})

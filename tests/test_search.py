@@ -8,7 +8,7 @@ import pytest
 
 from monopack import certs, search as search_mod
 from monopack.cli import main
-from monopack.canonical import canonical_key
+from monopack.canonical import canonical_key, twin_classes
 from monopack.constructions import BlobSpec, flipped_blowup, pentagon_blowup
 from monopack.graph import BLUE, RED, UNASSIGNED, ColoredGraph, parse
 from monopack.lp import Bounds, FractionalPacking, nu_star, pack
@@ -17,6 +17,7 @@ from monopack.search import (
     PentagonFilter,
     SearchConfig,
     SearchNode,
+    choose_next_vertex,
     default_threshold,
     expose,
     prune,
@@ -107,8 +108,36 @@ def exposed_nodes(node):
     u = node.graph.n - 1
     for v in range(u):
         if node.graph.color_of(v, u) == UNASSIGNED:
-            for child in expose(node, v):
+            for child in expose(node, v, list(range(node.graph.n))):
                 yield from exposed_nodes(child)
+
+
+def test_expose_builds_only_the_children_in_twin_order():
+    # in K_3 all red every vertex is a twin of every other; take a = 0 < b = 1
+    parent = ColoredGraph.monochromatic(3)
+    twin = twin_classes(parent)
+    assert twin[0] == twin[1]
+    grown = parent.add_vertex()
+    u = grown.n - 1
+    identity = list(range(grown.n))  # every vertex its own class
+
+    def colours(node, v, twin):
+        return [child.graph.color_of(v, u) for child in expose(node, v, twin)]
+
+    a_red = exact_node(grown.set_edge(0, u, RED))
+    assert colours(a_red, 1, twin) == [RED]
+    assert colours(a_red, 1, identity) == [RED, BLUE]
+    b_blue = exact_node(grown.set_edge(1, u, BLUE))
+    assert colours(b_blue, 0, twin) == [BLUE]
+    assert colours(b_blue, 0, identity) == [RED, BLUE]
+    # an admitted child is the one built without the order
+    assert expose(a_red, 1, twin) == expose(a_red, 1, identity)[:1]
+    assert expose(b_blue, 0, twin) == expose(b_blue, 0, identity)[1:]
+
+
+def test_choose_next_vertex_refuses_a_complete_node():
+    with pytest.raises(ValueError, match="node is complete"):
+        choose_next_vertex(exact_node(ColoredGraph.monochromatic(4)))
 
 
 def test_bounds_bracket_the_cold_optimum():

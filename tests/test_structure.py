@@ -377,3 +377,27 @@ def test_absorb_apex_cost_bounded_by_perturbation():
         for e in flips:
             h = h.flip_edge(*e)
         assert absorb_apex(h, u, cert)[1] == ()
+
+
+def test_structure_refusals():
+    for n in (0, 29):
+        with pytest.raises(ValueError, match=f"n={n} outside supported range 1..28"):
+            min_bipartition_deletions(n, [])
+    g, cert = pentagon_blowup(BlobSpec((1, 1, 1, 1, 2)))
+    b = cert.blobs
+    for blobs in (
+        b[:4],  # four blobs
+        ((), b[1], b[2], b[3], b[0] + b[4]),  # an empty blob
+        (b[0] + b[1], b[1], b[2], b[3], b[4]),  # a vertex in two blobs
+        (b[0], b[1], b[2], b[3], b[4][:1]),  # a vertex in none
+    ):
+        assert not type(cert)(blobs, cert.flips).check(g)
+    # an apex must lie outside every blob, and the certificate be flip-free
+    h, cert = apex_graph([RED] * 5)
+    with pytest.raises(ValueError, match="apex 0 lies inside a blob"):
+        bad_configurations(h, 0, cert)
+    with pytest.raises(ValueError, match="apex 0 lies inside a blob"):
+        absorb_apex(h, 0, cert)
+    flipped = type(cert)(cert.blobs, ((0, 2),))
+    with pytest.raises(ValueError, match="absorption needs a flip-free"):
+        absorb_apex(h, 5, flipped)
