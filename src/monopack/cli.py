@@ -67,8 +67,18 @@ def _require_complete(g: ColoredGraph) -> None:
         raise CliError("graph has unassigned edges", EXIT_PRECONDITION)
 
 
+def _out(text: str) -> None:
+    """Write text to stdout in full.  Unbuffered (`python -u`), stdout's
+    bytes layer is the raw file, which may take part of a write and say so
+    only in its count; the rest is written again, so a reader that went away
+    raises BrokenPipeError here rather than cutting the output short."""
+    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while data:
+        data = data[sys.stdout.buffer.write(data):]
+
+
 def _emit(record: dict) -> None:
-    print(json.dumps(record, sort_keys=True))
+    _out(json.dumps(record, sort_keys=True) + "\n")
 
 
 def _write_cert(directory: str, name: str, text: str) -> str:
@@ -86,7 +96,7 @@ def cmd_pack(args) -> int:
     g = _load_graph(args.graph)
     _require_complete(g)
     result = pack(g)
-    print(f"pack = {_rat(result.value)}")
+    _out(f"pack = {_rat(result.value)}\n")
     if args.certs:
         _write_cert(
             args.certs,
@@ -109,7 +119,7 @@ def cmd_verify(args) -> int:
         ok, message = certs.verify(text, g)
     except certs.CertFormatError as exc:
         raise CliError(str(exc), EXIT_PARSE) from exc
-    print(("ok: " if ok else "fail: ") + message)
+    _out(("ok: " if ok else "fail: ") + message + "\n")
     return EXIT_OK if ok else EXIT_VIOLATED
 
 
@@ -201,7 +211,7 @@ def cmd_construct(args) -> int:
         if args.n is None or args.m is None:
             raise CliError("bipartite construction needs -n and -m", EXIT_PRECONDITION)
         g = bipartite_minus_matching(args.n, args.m)
-    sys.stdout.write(g.serialize())
+    _out(g.serialize())
     return EXIT_OK
 
 

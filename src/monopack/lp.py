@@ -3,10 +3,11 @@
 All results are exact rationals.  Every LP here is max c.x over A x <= rhs,
 x >= 0, with A the edge x triangle incidence, and `_optimum` is its one
 solver.  It builds A once, column-wise (`incidence`), and passes it to the
-HiGHS solver that scipy ships.  It snaps the primal and dual solutions to
-nearby fractions and accepts them only if they pass the LP duality
-certificate, A x <= rhs, A^T y >= c and c.x == rhs.y, checked exactly in
-integers on that same A; otherwise the exact rational simplex solves it.
+module's one HiGHS instance, cleared for each LP.  It snaps the primal and
+dual solutions to fractions, as integers over one denominator each, and
+accepts them only if they pass the LP duality certificate, A x <= rhs,
+A^T y >= c and c.x == rhs.y, checked exactly in those integers on that
+same A; otherwise the exact rational simplex solves it.
 
 `nu_star` is the case rhs = c = 1: its `Bounds` carries a packing and a
 cover of one value, lo == hi.  `solve_loads`, with the prescribed edge loads
@@ -22,21 +23,42 @@ total edge weight of a colouring (the quantity thresholded by the search) is
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-try:
-    from scipy.optimize._highspy import _core as highs
-except ImportError as exc:  # scipy < 1.15 has no such binding
-    raise ImportError(
-        "monopack needs scipy >= 1.15 for its HiGHS binding scipy.optimize._highspy._core"
-    ) from exc
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 
 from .graph import BLUE, COLORS, RED, ColoredGraph, Edge, Triangle, norm_edge
 from .simplex import ONE, ZERO, simplex_max_leq
 from .structure import max_disjoint
 
 MAX_DENOMINATOR = 10**6
+_BINDING = "scipy.optimize._highspy._core"
+
+
+def _load_highs():
+    """scipy's HiGHS binding from its own file, or None: the usual import
+    first runs the whole `scipy.optimize` package."""
+    if _BINDING not in sys.modules:  # a None entry there blocks the import
+        try:
+            import scipy  # its own set-up (numpy check, bundled libraries), no more
+        except ImportError:
+            return None
+        where = [f"{p}/optimize/_highspy" for p in scipy.__path__]
+        spec = PathFinder.find_spec(_BINDING, where)  # None before scipy 1.15
+        if spec is None:
+            return None
+        sys.modules[_BINDING] = module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[_BINDING])
+    return sys.modules[_BINDING]
+
+
+highs = _load_highs()
+if highs is None:
+    raise ImportError(f"monopack needs scipy >= 1.15 for its HiGHS binding {_BINDING}")
+_solver = highs._Highs()
+_solver.setOptionValue("output_flag", False)
 
 
 def triangle_edges(t: Triangle) -> tuple[Edge, Edge, Edge]:
@@ -163,15 +185,27 @@ class PackValue:
     blue: Bounds
 
 
-def _snap(values) -> dict[int, Fraction]:
-    """The positive fractions nearest `values`, keyed by position."""
-    snapped = {}
+def _snap(values) -> tuple[int, dict[int, int]]:
+    """(d, {position: p}): each positive value's nonzero `limit_denominator`
+    fraction p/d, over one d.  While d <= N = MAX_DENOMINATOR, p = round(v * d)
+    is that fraction if |v - p/d| < 1/(2dN), as any other fraction with
+    denominator <= N is at least 1/(dN) from p/d; else d becomes the lcm."""
+    d, snapped = 1, {}
     for i, v in enumerate(values):
-        if v > 0:  # most LP weights are exactly 0; skip snapping them
+        if not v > 0:  # most LP weights are exactly 0
+            continue
+        p = round(v * d)
+        m, k = v.as_integer_ratio()
+        if d > MAX_DENOMINATOR or 2 * MAX_DENOMINATOR * abs(m * d - p * k) >= k:
             q = Fraction(v).limit_denominator(MAX_DENOMINATOR)
-            if q:
-                snapped[i] = q
-    return snapped
+            scale = q.denominator // math.gcd(d, q.denominator)
+            if scale > 1:
+                d *= scale
+                snapped = {j: w * scale for j, w in snapped.items()}
+            p = q.numerator * (d // q.denominator)
+        if p:
+            snapped[i] = p
+    return d, snapped
 
 
 def rationalize(xs, ys, index: list[int], start: list[int], rhs, c):
@@ -180,38 +214,39 @@ def rationalize(xs, ys, index: list[int], start: list[int], rhs, c):
     position, if it passes the LP duality certificate A x <= rhs, A^T y >= c
     and c.x == rhs.y; else None.
 
-    Each check runs exactly, with x and y in integers over their common
-    denominators.  A pair that passes is optimal for max c.x over A x <= rhs,
-    x >= 0 and for its dual, and value is both objectives.
+    Each check runs exactly, on the snap's integers over its denominators.
+    A pair that passes is optimal for max c.x over A x <= rhs, x >= 0 and
+    for its dual, and value is both objectives.
     """
-    x = _snap(xs)
-    y = _snap(ys)
-    dx, x_int = _over_one_denominator(x.values())
-    dy, y_int = _over_one_denominator(y.values())
+    dx, x = _snap(xs)
+    dy, y = _snap(ys)
     loads = [0] * len(rhs)  # A x <= rhs, with x over dx
-    for col, w in zip(x, x_int):
+    for col, w in x.items():
         for r in index[start[col]:start[col + 1]]:
             loads[r] += w
     if any(load > r * dx for load, r in zip(loads, rhs)):
         return None
-    y_of = dict(zip(y, y_int)).get  # A^T y >= c, with y over dy
+    y_of = y.get  # A^T y >= c, with y over dy
     y_at = [y_of(r, 0) for r in index]  # y at each nonzero of A
     for ct, lo, hi in zip(c, start, start[1:]):
         if sum(y_at[lo:hi]) < ct * dy:
             return None
-    cx = sum(c[i] * w for i, w in zip(x, x_int))  # c.x == rhs.y
-    if cx * dy != sum(rhs[j] * w for j, w in zip(y, y_int)) * dx:
+    cx = sum(c[i] * w for i, w in x.items())  # c.x == rhs.y
+    if cx * dy != sum(rhs[j] * w for j, w in y.items()) * dx:
         return None
-    return x, y, Fraction(cx, dx)
+    x = {i: Fraction(w, dx) for i, w in x.items()}
+    return x, {j: Fraction(w, dy) for j, w in y.items()}, Fraction(cx, dx)
 
 
 def linprog(c, index: list[int], start: list[int], rhs):
-    """Maximise c.x subject to A x <= rhs and x >= 0 with a fresh HiGHS
-    instance; A is the 0/1 matrix `incidence` lists column-wise as
-    (index, start), which is the form HiGHS takes.
+    """Maximise c.x subject to A x <= rhs and x >= 0 on the one HiGHS
+    instance, cleared first; monopack never solves LPs from two threads, and
+    a process pool's workers would each load their own.  A is the 0/1 matrix
+    `incidence` lists column-wise as (index, start), as HiGHS takes it.
 
-    Returns (x, y) if HiGHS reports the model optimal, else None; y, the
-    negated row duals, is >= 0 and optimal for min rhs.y over A^T y >= c.
+    Returns (x, y) if HiGHS takes the model and reports it optimal, else
+    None; y, the negated row duals, is >= 0 and optimal for min rhs.y over
+    A^T y >= c.
     """
     num_col, num_row = len(c), len(rhs)
     lp = highs.HighsLp()
@@ -227,13 +262,13 @@ def linprog(c, index: list[int], start: list[int], rhs):
     a.start_ = start
     a.index_ = index
     a.value_ = [1.0] * len(index)
-    solver = highs._Highs()
-    solver.setOptionValue("output_flag", False)
-    solver.passModel(lp)
-    solver.run()
-    if solver.getModelStatus() != highs.HighsModelStatus.kOptimal:
+    _solver.clearSolver()
+    ok = highs.HighsStatus.kOk
+    # never `run` a refused model: that can crash or hang the process
+    if (_solver.passModel(lp) != ok or _solver.run() != ok
+            or _solver.getModelStatus() != highs.HighsModelStatus.kOptimal):
         return None
-    solution = solver.getSolution()
+    solution = _solver.getSolution()
     return solution.col_value, [-d for d in solution.row_dual]
 
 

@@ -318,15 +318,19 @@ def test_closed_stdout_ends_quietly():
     # write still runs when the reader closes the pipe after one line
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src)
-    # unbuffered, stdout would drop the unwritten rest without an error
     env.pop("PYTHONUNBUFFERED", None)
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "monopack.cli", "construct", "bipartite", "-n", "600", "-m", "0"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
-    assert proc.stdout.readline() == b"n=600\n"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert err == b""
-    assert proc.wait() == 141  # the status a shell gives a writer killed by SIGPIPE
+    # unbuffered, stdout's raw file takes part of the write and reports
+    # only a count, so the CLI must write the rest to see the pipe closed
+    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "monopack.cli", "construct", "bipartite", "-n", "600",
+             "-m", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**env, **unbuffered},
+        )
+        assert proc.stdout.readline() == b"n=600\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert err == b"", unbuffered
+        # the status a shell gives a writer killed by SIGPIPE
+        assert proc.wait() == 141, unbuffered

@@ -317,6 +317,160 @@ def test_missing_highs_binding_fails_at_import():
     assert "monopack needs scipy >= 1.15" in run.stderr
 
 
+def run_python(code, pythonpath):
+    """Run `code` in a fresh interpreter with PYTHONPATH = pythonpath."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+
+def test_import_loads_the_highs_binding_alone():
+    # monopack leaves scipy.optimize unloaded, and either import order
+    # ends with one binding module that scipy's `linprog` also uses
+    check = (
+        "core = sys.modules['scipy.optimize._highspy._core']; "
+        "assert core is monopack.lp.highs; "
+        "assert linprog([-1], A_ub=[[1]], b_ub=[2], method='highs').x[0] == 2; "
+        "assert str(monopack.nu_star(monopack.ColoredGraph.monochromatic(5), 'R').lo) == '10/3'"
+    )
+    monopack_first = (
+        "import sys, monopack; "
+        "assert 'scipy.optimize' not in sys.modules, sorted(sys.modules); "
+        "from scipy.optimize import linprog; " + check
+    )
+    scipy_first = "import sys; from scipy.optimize import linprog; import monopack; " + check
+    for code in (monopack_first, scipy_first):
+        run = run_python(code, [SRC])
+        assert run.returncode == 0, run.stderr
+
+
+def test_scipy_without_the_binding_fails_at_import(tmp_path):
+    # a scipy package with no HiGHS binding file, and no scipy at all
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    no_scipy = "import sys; sys.modules['scipy'] = None; import monopack"
+    for code, path in (("import monopack", [str(tmp_path), SRC]), (no_scipy, [SRC])):
+        run = run_python(code, path)
+        assert run.returncode != 0
+        assert "ImportError: monopack needs scipy >= 1.15 for its HiGHS binding" in run.stderr
+
+
+def test_shared_highs_instance_matches_fresh_ones(monkeypatch):
+    """`linprog`'s one instance gives the floats a fresh instance does, in
+    any order, and after a model HiGHS refuses or finds unbounded."""
+
+    def fresh(c, index, start, rhs):
+        solver = lp.highs._Highs()
+        solver.setOptionValue("output_flag", False)
+        with monkeypatch.context() as m:
+            m.setattr(lp, "_solver", solver)
+            return lp.linprog(c=c, index=index, start=start, rhs=rhs)
+
+    rng = random.Random(59)
+    lps = []
+    for n in range(4, 17):
+        g = random_graph(rng, n)
+        for color in (RED, BLUE):
+            tris, edges, rhs, c = packing_lp(g, color)
+            if tris:
+                lps.append((c, *lp.incidence(tris, edges), rhs))
+    rng.shuffle(lps)
+    expected = [fresh(*args) for args in lps]
+    assert None not in expected
+    assert [lp.linprog(*args) for args in lps] == expected
+    c, index, start, rhs = lps[0]
+    refused = [
+        (c, [len(rhs)] + index[1:], start, rhs),  # a row index out of range
+        ([1], [], [0, 0], []),  # unbounded: a column in no row
+    ]
+    for bad in refused:
+        assert lp.linprog(*lps[1]) == expected[1]
+        assert lp.linprog(*bad) is None
+        assert fresh(*bad) is None
+        assert lp.linprog(*lps[0]) == expected[0]
+
+
+def assert_snap_is_limit_denominator(values):
+    """`_snap` gives each positive entry's `limit_denominator` fraction."""
+    d, snapped = lp._snap(values)
+    want = {}
+    for i, v in enumerate(values):
+        if v > 0:
+            q = Fraction(v).limit_denominator(lp.MAX_DENOMINATOR)
+            if q:
+                want[i] = q
+    assert {i: F(p, d) for i, p in snapped.items()} == want, values
+    assert all(p > 0 for p in snapped.values())
+    return d
+
+
+def test_snap_is_limit_denominator(monkeypatch):
+    n = lp.MAX_DENOMINATOR
+    calls = []
+    real = Fraction.limit_denominator
+
+    def limit_denominator(self, max_denominator):
+        calls.append(self)
+        return real(self, max_denominator)
+
+    monkeypatch.setattr(Fraction, "limit_denominator", limit_denominator)
+    # the first entry sets d = 997 through `limit_denominator`; the second
+    # lies just inside or just outside 1/(2dN) of 500/997, and only outside
+    # does it take `limit_denominator` too
+    margin = []
+    for side in (-1, 1):
+        for scale, fallback in ((0.999, False), (1.001, True)):
+            margin.append([1 / 997, 500 / 997 + side * scale / (2 * 997 * n)])
+            calls.clear()
+            lp._snap(margin[-1])
+            assert len(calls) == 1 + fallback
+    monkeypatch.undo()
+    for values in margin:
+        assert_snap_is_limit_denominator(values)
+    # zeros, negatives and NaN are skipped, as are positives that snap to 0
+    assert lp._snap([0.0, -0.5, float("nan"), 0.25]) == (4, {3: 1})
+    tiny = [0.3 / n, 0.49 / n, 1e-300, 5e-324]
+    assert lp._snap(tiny) == (1, {})
+    assert lp._snap([1 / 3] + tiny) == (3, {0: 1})
+    assert_snap_is_limit_denominator([0.51 / n, 0.5])
+    # denominators near N, on either side of it, and midpoints between
+    # neighbours of the Farey sequence of order N
+    near = [float(F(a, b)) for b in (n - 17, n - 1, n, n + 1, 10**7) for a in (1, b // 3, b - 1)]
+    near += [float((F(1, n) + F(1, n - 1)) / 2), float((F(1, 2) + F(n // 2, n - 1)) / 2)]
+    assert_snap_is_limit_denominator(near)
+    for v in near:
+        assert_snap_is_limit_denominator([v])
+        assert_snap_is_limit_denominator([1 / 7, v])
+    # two primes near N: d passes N, and every later entry falls back, even
+    # one within 1/(2dN) of a multiple of 1/d, whose nearest fraction is 0
+    big = 999983 * 999979
+    d = assert_snap_is_limit_denominator([1 / 999983, 1 / 999979, 1 / 3, 0.25, 1 / big])
+    assert d == big * 12
+    rng = random.Random(61)
+    for _ in range(200):
+        values = [rng.choice((0.0, rng.random(), float(F(rng.randint(0, 99), rng.randint(1, 99)))))
+                  for _ in range(rng.randint(1, 12))]
+        assert_snap_is_limit_denominator(values)
+
+
+def test_snap_matches_limit_denominator_on_lp_solutions():
+    rng = random.Random(67)
+    solved = 0
+    for n in range(4, 17):
+        for _ in range(2):
+            g = random_graph(rng, n)
+            for color in (RED, BLUE):
+                tris, edges, rhs, c = packing_lp(g, color)
+                if tris:
+                    xs, ys = lp.linprog(c, *lp.incidence(tris, edges), rhs)
+                    assert_snap_is_limit_denominator(xs)
+                    assert_snap_is_limit_denominator(ys)
+                    solved += 1
+    assert solved > 40
+
+
 LP_GOLDEN = os.path.join(os.path.dirname(__file__), "lp_golden.json")
 
 
